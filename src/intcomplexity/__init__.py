@@ -3,9 +3,10 @@
 The complexity of n is the least number of 1s in an arithmetic
 expression for n over {1, +, *} (OEIS A005245); the rank of n is the
 least tree height among its shortest expressions.  The package provides
-three builders (an exhaustive oracle, a relaxation sieve with ranks, and
-a scalable sequential builder with checkpointing), a binary table
-format, and the derived sequences, scans, and verification suites.
+one block-segmented table builder (``build_sieve`` with optional ranks,
+``build_dp``/``resume_dp`` with checkpoints), the exhaustive oracle
+that checks it, a binary table format, and the derived sequences,
+scans, and verification suites.
 """
 
 from .core import (
@@ -23,10 +24,10 @@ from .core import (
     second_max_expressible,
     upper_bound,
 )
-from .dp import EliminatorQueue, build_dp, factorize_at, resume_dp
+from .dp import build_dp, resume_dp
 from .enumerator import CapExceededError, OracleResult, oracle_complexity, oracle_table
 from .expr import ExprTree, add, canonicalize, infix, mul, one, postfix_emit, postfix_parse
-from .sieve import bootstrap_addends, build_sieve
+from .sieve import build_sieve
 from .storage import Checkpoint, IcxError, load, load_table, save
 
 __version__ = "0.1.0"
@@ -36,19 +37,16 @@ __all__ = [
     "CapExceededError",
     "Checkpoint",
     "ComplexityTable",
-    "EliminatorQueue",
     "ExprTree",
     "IcxError",
     "OracleResult",
     "add",
     "addend_bound",
-    "bootstrap_addends",
     "build_dp",
     "build_sieve",
     "canonicalize",
     "complexity_bounds",
     "defect",
-    "factorize_at",
     "infix",
     "integer_logarithm",
     "is_power_of_3",

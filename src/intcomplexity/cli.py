@@ -32,12 +32,11 @@ def _cmd_build(args) -> int:
         if args.checkpoint_every:
             raise ValueError("only the dp builder writes checkpoints")
         table = build_sieve(args.limit, with_ranks=args.ranks)
+        storage.save(table, args.out)
     else:
         if args.ranks:
             raise ValueError("the dp builder does not produce ranks; use --algo sieve")
         table = build_dp(args.limit, checkpoint_every=args.checkpoint_every, out=args.out)
-    if args.algo == "sieve":
-        storage.save(table, args.out)
     print(
         f"built {args.algo} table to n = {table.limit}"
         f"{' with ranks' if table.rank is not None else ''}: {args.out}"

@@ -1,209 +1,195 @@
-"""Sequential by-definition builder with incremental factorization.
+"""Block-segmented builder: complexities, ranks, checkpoints and resume.
 
-For n = 2, 3, ... the complexity is the minimum of 1 + f[n-1], the best
-divisor split f[d] + f[n/d], and the best sum split f[a] + f[n-a] with
-the smaller addend a scanned from 6 up to the addend bound (addends 2-5
-never beat the 1 + f[n-1] route, since a split off 2..5 can always be
-rewritten to split off 1).  The bound is re-derived whenever the
-running minimum improves, which keeps the scan a handful of steps for
-almost every n.
+Every table in the package comes from ``_build``.  It settles n in
+blocks [lo, hi), hi <= 2*lo and at most max(``BLOCK``, 64*sqrt(limit))
+wide, in increasing order; everything below lo is final when a block
+starts.
 
-Factorization rides a priority queue of eliminators: one entry per
-prime p <= sqrt(limit), keyed by the smallest multiple of p not yet
-passed.  Each prime enters the queue when the scan reaches p*p, so the
-queue stays small and every composite is taken apart by popping its due
-eliminators; whatever remains after division is a prime cofactor.
+* Products: a split n = d*e with 2 <= d <= e has e <= n/2 < lo, so for
+  each d <= sqrt(hi - 1) the block's multiples of d are relaxed against
+  the finished prefix as one strided slice.
+* The +1 chain, f[n] <= f[n-1] + 1, is closed in one pass as a running
+  minimum of f[n] - n that carries f[lo-1] in from the prefix.
+* Sum splits f[j] + f[n-j] are scanned for 6 <= j <= top, the largest
+  ``addend_bound(n, f[n])`` over the block at the *current* estimates;
+  closure and scan repeat until a round changes nothing.  Addends 2..5
+  never win: f[j] = j there, and the chain gives f[n-j] + j.
 
-Builds can persist periodic checkpoints and resume bit-identically.
+Caps taken from estimates are sound.  Every estimate is the size of a
+real expression, so it is never below the true value, and a split that
+improves on an estimate c has j(n-j) <= E(f(j) + f(n-j)) <= E(c), as j
+<= E(f(j)), n-j <= E(f(n-j)) and E is supermultiplicative and monotone.
+In a round that changes nothing, the least n still too high would be
+lowered by its optimal split, whose parts are smaller and exact and
+whose addend lies within the cap; so every value is exact.
+
+Checkpoints land at every multiple of ``checkpoint_every`` below the
+limit, where blocks are cut; a resumed build continues from whatever
+position its checkpoint holds.  Ranks are computed in the same blocks
+from the final values (see ``sieve``).
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+import os
 
-from .core import ComplexityTable, MAX_COMPLEXITY
-from .primality import primes_up_to
-from .sieve import _addend_cap, _e_table
+import numpy as np
+
+from .core import ComplexityTable, MAX_COMPLEXITY, addend_bound, max_expressible
 from . import storage
 
+# least block width; small builds keep each block's temporaries near 64 KB
+BLOCK = 1 << 16
 
-class EliminatorQueue:
-    """Incremental factorization for a strictly increasing scan position."""
-
-    def __init__(self, limit: int, start: int = 2):
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        if start < 2:
-            raise ValueError(f"scan starts at 2, got {start}")
-        self._limit = limit
-        self._pos = start - 1
-        self._primes = primes_up_to(math.isqrt(limit))
-        self._heap: list[tuple[int, int]] = []
-        self._next = 0
-        # reconstruct the queue state as if the scan had already passed start-1
-        while self._next < len(self._primes) and self._primes[self._next] ** 2 <= self._pos:
-            p = self._primes[self._next]
-            first = ((self._pos // p) + 1) * p
-            heappush(self._heap, (first, p))
-            self._next += 1
-
-    def factorize_at(self, n: int) -> list[int]:
-        """Prime factors of n with multiplicity; n must increase between calls."""
-        if n <= self._pos:
-            raise ValueError(
-                f"factorize_at positions must be strictly increasing "
-                f"(got {n} after {self._pos})"
-            )
-        self._pos = n
-        heap = self._heap
-        primes = self._primes
-        while self._next < len(primes) and primes[self._next] ** 2 <= n:
-            p = primes[self._next]
-            heappush(heap, (p * p, p))
-            self._next += 1
-        # skipped positions leave entries behind the scan; advance them
-        while heap and heap[0][0] < n:
-            m, p = heappop(heap)
-            heappush(heap, (((n + p - 1) // p) * p, p))
-        out: list[int] = []
-        rem = n
-        while heap and heap[0][0] == n:
-            _, p = heappop(heap)
-            while rem % p == 0:
-                rem //= p
-                out.append(p)
-            heappush(heap, (n + p, p))
-        if rem > 1:
-            out.append(rem)  # prime cofactor: no eliminator <= sqrt(limit) claimed it
-        out.sort()
-        return out
+# rank estimate for "no such form yet"; 1 + _NONE still fits a uint8
+_NONE = 127
 
 
-def factorize_at(queue: EliminatorQueue, n: int) -> list[int]:
-    return queue.factorize_at(n)
-
-
-def _divisor_splits(factors: list[int], n: int) -> list[int]:
-    """All divisors d of n with 2 <= d <= sqrt(n), from the prime multiset."""
-    root = math.isqrt(n)
-    divs = [1]
-    i = 0
-    while i < len(factors):
-        p = factors[i]
-        e = 1
-        while i + e < len(factors) and factors[i + e] == p:
-            e += 1
-        i += e
-        cur = list(divs)
-        pk = 1
-        for _ in range(e):
-            pk *= p
-            for d in cur:
-                v = d * pk
-                if v <= root:
-                    divs.append(v)
-    return divs[1:]
-
-
-def _run(
-    f: bytearray,
-    start: int,
-    limit: int,
-    queue: EliminatorQueue,
-    E: list[int],
-    scan_floor: list[int],
-    addend_start: int,
-    on_checkpoint,
-) -> None:
-    elen = len(E)
-    for n in range(start, limit + 1):
-        c = 1 + f[n - 1]
-        factors = queue.factorize_at(n)
-        if len(factors) > 1:
-            nn = n
-            fl = f
-            for d in _divisor_splits(factors, n):
-                w = fl[d] + fl[nn // d]
-                if w < c:
-                    c = w
-        # sum scan; the floor test is "addend bound >= addend_start" rewritten
-        if c < elen and scan_floor[c] >= n:
-            a = _addend_cap(n, c, E)
-            j = addend_start
-            while j <= a:
-                w = f[j] + f[n - j]
-                if w < c:
-                    c = w
-                    a = _addend_cap(n, c, E)
-                j += 1
-        f[n] = c
-        if on_checkpoint is not None:
-            on_checkpoint(n)
-
-
-def _scan_floor(E: list[int], addend_start: int) -> list[int]:
-    # addend bound >= s  <=>  E[c] >= s*n - s*s  <=>  n <= (E[c] + s*s) // s
-    s = addend_start
-    return [0] + [(e + s * s) // s for e in E[1:]]
-
-
-def build_dp(
-    limit: int,
-    checkpoint_every: int = 0,
-    out: str | None = None,
-    *,
-    _addend_start: int = 6,
-    _stop_at: int | None = None,
-) -> ComplexityTable | storage.Checkpoint:
-    """Build the complexity table for [1, limit] sequentially.
-
-    When ``out`` is given, the table is persisted there; with
-    ``checkpoint_every`` > 0, partial snapshots land at the same path
-    every that-many entries (atomically, newest wins).  ``_stop_at``
-    halts the build after that position and returns the checkpoint:
-    a testing/operations hook for exercising resume.
-    """
+def _check_limit(limit: int, ranks: bool) -> None:
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > 2 and 3.0 * math.log2(limit) > MAX_COMPLEXITY:
         raise ValueError("limit too large for one-byte complexity storage")
+    # the working arrays plus the bytes of the returned table
+    need = (limit + 1) * (3 if ranks else 2)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"limit {limit} needs {need} bytes, more than physical memory ({have})")
+
+
+def _addend_top(blk: np.ndarray, lo: int, hi: int) -> int:
+    """Largest addend_bound(n, blk[n - lo]) over the block.
+
+    The bound grows with the estimate and, once 4*E(c) <= n^2, falls as n
+    grows, so it peaks where the running maximum of the estimates rises.
+    Short of that condition it is n // 2, which (hi - 1) // 2 covers.
+    """
+    run = np.maximum.accumulate(blk)
+    top = 0
+    for i in [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1)]:
+        n, c = lo + int(i), int(blk[i])
+        if 4 * max_expressible(c) > n * n:
+            return (hi - 1) // 2
+        top = max(top, addend_bound(n, c))
+    return top
+
+
+def _products(f: np.ndarray, lo: int, hi: int):
+    """(d, block slice of the multiples of d, slice of their cofactors)."""
+    for d in range(2, math.isqrt(hi - 1) + 1):
+        first = max(d * d, -(-lo // d) * d)
+        if first < hi:
+            yield d, slice(first - lo, hi - lo, d), slice(first // d, (hi - 1) // d + 1)
+
+
+def _settle(f: np.ndarray, lo: int, hi: int) -> None:
+    """Final complexities of [lo, hi), given the finished prefix f[:lo]."""
+    blk = f[lo:hi]
+    blk[:] = MAX_COMPLEXITY
+    for d, tgt, cof in _products(f, lo, hi):
+        np.minimum(blk[tgt], f[cof] + f[d], out=blk[tgt])
+    offset = np.arange(hi - lo + 1, dtype=np.int32)
+    while True:
+        before = blk.copy()
+        # +1 chain: running minimum of f[n] - n, carried in from f[lo - 1]
+        run = np.minimum.accumulate(np.r_[f[lo - 1], blk] - offset) + offset
+        blk[:] = run[1:]  # never above blk: the minimum includes n itself
+        for j in range(6, _addend_top(blk, lo, hi) + 1):
+            np.minimum(blk, f[lo - j : hi - j] + f[j], out=blk)
+        if np.array_equal(before, blk):
+            return
+
+
+def _rank(f: np.ndarray, gs: np.ndarray, gp: np.ndarray, lo: int, hi: int) -> None:
+    """GS and GP of [lo, hi) from final complexities (see ``sieve``)."""
+    blk = f[lo:hi]
+    rp = np.full(hi - lo, _NONE, dtype=np.uint8)
+    for d, tgt, cof in _products(f, lo, hi):
+        h = np.maximum(gp[cof], gp[d])
+        h[f[cof] + f[d] != blk[tgt]] = _NONE
+        np.minimum(rp[tgt], h, out=rp[tgt])
+    gs_blk, gp_blk = gs[lo:hi], gp[lo:hi]
+    top = _addend_top(blk, lo, hi)
+    rs = np.empty_like(rp)
+    while True:
+        before = gs_blk.copy()
+        rs[:] = _NONE
+        for j in range(1, top + 1):
+            h = np.maximum(gs[lo - j : hi - j], gs[j])
+            h[f[lo - j : hi - j] + f[j] != blk] = _NONE
+            np.minimum(rs, h, out=rs)
+        np.minimum(rp + 1, rs, out=gs_blk)
+        np.minimum(rs + 1, rp, out=gp_blk)
+        if np.array_equal(before, gs_blk):
+            return
+
+
+def _build(
+    limit: int,
+    *,
+    ranks: bool = False,
+    prefix: bytes = b"\x00\x01",
+    checkpoint_every: int = 0,
+    out: str | None = None,
+) -> tuple[bytes, bytes | None]:
+    """Complexity bytes (and rank bytes) of [0, limit], continuing from
+    ``prefix``, whose values for n < len(prefix) must be final."""
+    _check_limit(limit, ranks)
     if checkpoint_every and not out:
         raise ValueError("checkpointing requires an output path")
+    prefix = prefix[: limit + 1]
+    f = np.empty(limit + 1, dtype=np.uint8)
+    f[: len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    gs = gp = None
+    if ranks:
+        gs = np.full(limit + 1, _NONE, dtype=np.uint8)
+        gp = np.full(limit + 1, _NONE, dtype=np.uint8)
+        gs[1] = 1  # the One is a part of any sum at height 1
+    # a block makes one numpy call per divisor d <= sqrt(hi), so a width
+    # in proportion to sqrt(limit) keeps those calls a fixed share of its work
+    width = max(BLOCK, 64 * math.isqrt(limit))
+    lo = len(prefix)
+    while lo <= limit:
+        hi = min(2 * lo, lo + width, limit + 1)
+        if checkpoint_every:
+            hi = min(hi, -(-lo // checkpoint_every) * checkpoint_every + 1)
+        _settle(f, lo, hi)
+        if ranks:
+            _rank(f, gs, gp, lo, hi)
+        if checkpoint_every and (hi - 1) % checkpoint_every == 0 and hi - 1 < limit:
+            storage.save_checkpoint(out, limit, hi - 1, memoryview(f)[:hi])
+        lo = hi
+    rank = None
+    if ranks:
+        np.minimum(gs, gp, out=gs)
+        del gp
+        gs[:2] = 0
+        rank = gs.tobytes()
+        del gs
+    return f.tobytes(), rank
 
-    f = bytearray(limit + 1)
-    f[1] = 1
-    queue = EliminatorQueue(limit)
-    E = _e_table(limit)
-    floor6 = _scan_floor(E, _addend_start)
 
-    stop = min(_stop_at, limit) if _stop_at is not None else limit
-
-    def on_checkpoint(n: int) -> None:
-        if checkpoint_every and n % checkpoint_every == 0 and n < limit:
-            storage.save_checkpoint(out, limit, n, bytes(f[: n + 1]))
-
-    _run(f, 2, stop, queue, E, floor6,
-         _addend_start, on_checkpoint if out else None)
-
-    if _stop_at is not None and stop < limit:
-        if out:
-            storage.save_checkpoint(out, limit, stop, bytes(f[: stop + 1]))
-        return storage.Checkpoint(limit=limit, position=stop, complexity=bytes(f[: stop + 1]))
-
-    table = ComplexityTable(
-        limit=limit, complexity=bytes(f[: limit + 1]), rank=None, algorithm_tag="dp"
-    )
+def _dp_table(limit: int, prefix: bytes, checkpoint_every: int, out: str | None):
+    complexity, _ = _build(limit, prefix=prefix, checkpoint_every=checkpoint_every, out=out)
+    table = ComplexityTable(limit=limit, complexity=complexity, rank=None, algorithm_tag="dp")
     if out:
         storage.save(table, out)
     return table
 
 
+def build_dp(limit: int, checkpoint_every: int = 0, out: str | None = None) -> ComplexityTable:
+    """Build the complexity table for [1, limit] without ranks.
+
+    When ``out`` is given, the table is persisted there; with
+    ``checkpoint_every`` > 0, partial snapshots land at the same path at
+    every multiple of it below ``limit`` (atomically, newest wins).
+    """
+    return _dp_table(limit, b"\x00\x01", checkpoint_every, out)
+
+
 def resume_dp(
-    checkpoint: str,
-    limit: int,
-    out: str | None = None,
-    checkpoint_every: int = 0,
+    checkpoint: str, limit: int, out: str | None = None, checkpoint_every: int = 0
 ) -> ComplexityTable:
     """Continue an interrupted build; the result is bit-identical to a
     one-shot build of the same limit.
@@ -211,40 +197,4 @@ def resume_dp(
     A limit at or below the stored position returns the truncated prefix
     without recomputing anything.
     """
-    got = storage.load(checkpoint)
-    if isinstance(got, ComplexityTable):
-        position, prefix = got.limit, got.complexity
-    else:
-        position, prefix = got.position, got.complexity
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if checkpoint_every and not out:
-        raise ValueError("checkpointing requires an output path")
-
-    if limit <= position:
-        table = ComplexityTable(
-            limit=limit, complexity=prefix[: limit + 1], rank=None, algorithm_tag="dp"
-        )
-        if out:
-            storage.save(table, out)
-        return table
-
-    f = bytearray(limit + 1)
-    f[: position + 1] = prefix
-    queue = EliminatorQueue(limit, start=position + 1)
-    E = _e_table(limit)
-    floor6 = _scan_floor(E, 6)
-
-    def on_checkpoint(n: int) -> None:
-        if checkpoint_every and n % checkpoint_every == 0 and n < limit:
-            storage.save_checkpoint(out, limit, n, bytes(f[: n + 1]))
-
-    _run(f, position + 1, limit, queue, E, floor6, 6,
-         on_checkpoint if out else None)
-
-    table = ComplexityTable(
-        limit=limit, complexity=bytes(f), rank=None, algorithm_tag="dp"
-    )
-    if out:
-        storage.save(table, out)
-    return table
+    return _dp_table(limit, storage.load(checkpoint).complexity, checkpoint_every, out)

@@ -1,280 +1,38 @@
-"""Complexity sieve: alternating product/sum relaxation passes.
+"""Complexity tables with ranks.
 
-An array f[1..limit] starts at f[i] = i and is relaxed in passes until a
-full product pass plus a full sum pass change nothing.  Product passes
-(pass height 2, 4, ...) relax f[i*k] against f[i] + f[k]; sum passes
-(height 3, 5, ...) relax f[i] against f[j] + f[i-j] for smaller addends
-j up to the addend bound, which is re-derived as f[i] improves.  Each
-pass is iterated to its own fixpoint.  Every relaxation realizes an
-actual expression whose height is the pass index, so an entry's final
-improvement happens exactly at the pass equal to its rank; that pass
-index is recorded when ranks are requested.
+``build_sieve`` runs the block builder of ``dp`` and, when asked, fills
+the rank column in the same blocks from the final complexities.  The
+rank of n is the least height of a shortest expression for n, where a
+canonical tree alternates sums and products and the One has height 0.
 
-Two facts keep the sum passes cheap without changing any result:
+A split of n is *tight* when its parts' complexities add up to f(n).
+Every subexpression of a shortest expression is shortest, so only tight
+splits occur.  For n >= 2:
 
-* The addend bound is sound for intermediate values: a split j + (i-j)
-  whose current estimates sum below c always has j within the bound
-  computed at c, so pruning by the bound at the current value never
-  discards an improving relaxation.
-* The bound is monotone in its complexity argument, so it may also be
-  evaluated at any upper bound on the true complexity.  The builder caps
-  scans with a profile C(i) (the 3*log2 bound for small i, a slightly
-  generous 3.73*log3(i) + 2 beyond) and verifies f[i] <= C(i) for every
-  i after convergence.  The verified profile certifies that every
-  minimal split's smaller addend lay inside the scanned range, hence the
-  table and the rank column are identical to the uncapped computation;
-  if the check ever failed the build would abort rather than return a
-  wrong table.
+* RP(n) = min over tight d*e = n of max(GP(d), GP(e)), the least height
+  of a shortest product-rooted form;
+* RS(n) = min over tight j + (n-j) = n, 1 <= j <= addend_bound(n, f(n)),
+  of max(GS(j), GS(n-j)), the same for sum-rooted forms;
+* GS(n) = min(1 + RP(n), RS(n)), the height of a sum with n as a part (a
+  product part adds a level, a sum part merges), and GS(1) = 1;
+* GP(n) = min(1 + RS(n), RP(n)), the same for a product factor;
 
-Product sweeps and sum sweeps are vectorized; the "+1" chain relaxation
-f[i] <= 1 + f[i-1] is closed exactly in one pass via a running minimum
-of f[i] - i.
+and rank(n) = min(RS(n), RP(n)) = min(GS(n), GP(n)).  Factors lie in the
+finished prefix, so RP takes one strided pass per divisor.  Sum parts
+may lie in the block, so RS and GS are iterated there until GS stops
+changing; each estimate is the height of a real expression, so they
+only fall, to the exact values.  GS and GP take a byte each per entry.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-from .core import ComplexityTable, MAX_COMPLEXITY, max_expressible
-
-# product sweeps add two table entries into a uint32; keep headroom
-MAX_SIEVE_LIMIT = 2**30
-
-# scan-cap profile: min(3*log2 i, _CAP_RATIO*log3 i + _CAP_SLACK), verified post-build
-_CAP_RATIO = 3.73
-_CAP_SLACK = 2.0
+from .core import ComplexityTable
+from .dp import _build
 
 
-def _e_table(limit: int) -> list[int]:
-    """E values while 4*E can still undercut limit^2 (one extra as sentinel)."""
-    top = limit * limit
-    out = [0]
-    k = 1
-    while True:
-        e = max_expressible(k)
-        out.append(e)
-        if 4 * e > top:
-            break
-        k += 1
-    return out
-
-
-def _addend_cap(i: int, c: int, E: list[int]) -> int:
-    """Largest admissible smaller addend for i given complexity estimate c."""
-    if c >= len(E):
-        return i // 2
-    disc = i * i - 4 * E[c]
-    if disc < 0:
-        return i // 2
-    s = math.isqrt(disc)
-    if s * s != disc:
-        s += 1
-    return (i - s) // 2
-
-
-def _upper_profile(limit: int) -> np.ndarray:
-    """Certified-afterwards upper bound profile C(i), index 0..limit."""
-    prof = np.zeros(limit + 1, dtype=np.int64)
-    if limit >= 1:
-        prof[1] = 1
-    if limit >= 2:
-        idx = np.arange(2, limit + 1, dtype=np.float64)
-        loose = np.floor(3.0 * np.log2(idx))
-        tight = np.ceil(_CAP_RATIO * np.log(idx) / math.log(3.0) + _CAP_SLACK)
-        prof[2:] = np.minimum(loose, tight).astype(np.int64)
-    return prof
-
-
-def _cap_vector(f: np.ndarray, profile: np.ndarray, E_np: np.ndarray,
-                idx: np.ndarray, limit: int) -> np.ndarray:
-    """Vector of scan caps min-composed from current values and the profile."""
-    c = np.minimum(f.astype(np.int64), profile)
-    elen = len(E_np)
-    inr = c < elen
-    ev = E_np[np.where(inr, c, 0)]
-    disc = idx * idx - 4 * ev
-    neg = (~inr) | (disc < 0)
-    d = np.where(neg, 0, disc)
-    s = np.sqrt(d.astype(np.float64)).astype(np.int64)
-    s = np.where(s * s > d, s - 1, s)
-    s = np.where((s + 1) * (s + 1) <= d, s + 1, s)
-    ceil_s = np.where(s * s == d, s, s + 1)
-    a = (idx - ceil_s) >> 1
-    a = np.where(neg, idx >> 1, a)
-    a[: min(2, limit + 1)] = 0
-    return a
-
-
-def bootstrap_addends(f, upto: int) -> list[int]:
-    """Values usable as the smaller addend of a minimal sum split.
-
-    Given converged complexities f over [1, upto], returns every i whose
-    own optimum is not attainable as a sum (1 included): only such
-    numbers can appear as the minimal smaller addend of anyone's optimal
-    sum split, so sum passes may restrict their scan to this set without
-    changing the fixpoint.
-    """
-    if upto < 1:
-        return []
-    if isinstance(f, (bytes, bytearray)):
-        arr = np.frombuffer(f, dtype=np.uint8)[: upto + 1].astype(np.int64)
-    else:
-        arr = np.asarray(f[: upto + 1], dtype=np.int64)
-    best = np.full(upto + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    for j in range(1, upto // 2 + 1):
-        np.minimum(best[2 * j :], arr[j] + arr[j : upto - j + 1], out=best[2 * j :])
-    out = [1]
-    out.extend(int(i) for i in np.nonzero(arr[2:] < best[2:])[0] + 2)
-    return out
-
-
-def _product_pass(f: np.ndarray, rank: np.ndarray | None, height: int, limit: int) -> bool:
-    changed_any = False
-    root = math.isqrt(limit)
-    while True:
-        changed = False
-        for i in range(2, root + 1):
-            k_hi = limit // i
-            cand = f[2 : k_hi + 1] + f[i]
-            tgt = f[2 * i :: i]
-            upd = cand < tgt
-            if upd.any():
-                tgt[upd] = cand[upd]
-                if rank is not None:
-                    rank[2 * i :: i][upd] = height
-                changed = True
-        if not changed:
-            break
-        changed_any = True
-    return changed_any
-
-
-def _plus_one_closure(f: np.ndarray, rank: np.ndarray | None, height: int, limit: int) -> bool:
-    """Exact fixpoint of f[i] <= 1 + f[i-1] via a running minimum."""
-    if limit < 2:
-        return False
-    idx = np.arange(limit + 1, dtype=np.int64)
-    t = f.astype(np.int64) - idx
-    t[0] = np.iinfo(np.int64).max // 2
-    chained = idx + np.minimum.accumulate(t)
-    upd = chained < f
-    if not upd.any():
-        return False
-    f[upd] = chained[upd].astype(f.dtype)
-    if rank is not None:
-        rank[upd] = height
-    return True
-
-
-def _sum_pass(
-    f: np.ndarray,
-    rank: np.ndarray | None,
-    height: int,
-    limit: int,
-    E_np: np.ndarray,
-    profile: np.ndarray,
-    idx: np.ndarray,
-    candidates: list[int] | None,
-) -> bool:
-    changed_any = False
-    while True:
-        changed = _plus_one_closure(f, rank, height, limit)
-        a = _cap_vector(f, profile, E_np, idx, limit)
-        maxa = int(a.max()) if limit >= 4 else 0
-        js = range(2, maxa + 1) if candidates is None else [j for j in candidates if 2 <= j <= maxa]
-        for j in js:
-            if 2 * j > limit:
-                break
-            tgt = f[2 * j :]
-            cand = f[j] + f[j : limit - j + 1]
-            upd = (cand < tgt) & (a[2 * j :] >= j)
-            if upd.any():
-                tgt[upd] = cand[upd]
-                if rank is not None:
-                    rank[2 * j :][upd] = height
-                changed = True
-        if not changed:
-            break
-        changed_any = True
-    return changed_any
-
-
-def build_sieve(
-    limit: int,
-    with_ranks: bool = False,
-    *,
-    bootstrap: bool = False,
-    init_upper: bool = False,
-) -> ComplexityTable:
-    """Build the complexity table (and optionally ranks) for [1, limit].
-
-    ``bootstrap`` first converges a small prefix, derives the candidate
-    addend set from it, and restricts sum scans to that set; the final
-    table is identical either way.  ``init_upper`` seeds f with the
-    3*log2 upper bound instead of i; that changes nothing in the final
-    complexity column but is incompatible with rank tracking.
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit > 2 and 3.0 * math.log2(limit) > MAX_COMPLEXITY:
-        raise ValueError("limit too large for one-byte complexity storage")
-    if limit > MAX_SIEVE_LIMIT:
-        raise ValueError(
-            f"limit {limit} exceeds the in-memory sieve ceiling {MAX_SIEVE_LIMIT}; "
-            "use the dp builder for larger tables"
-        )
-    if with_ranks and init_upper:
-        raise ValueError("rank tracking requires the identity initialization")
-
-    f = np.arange(limit + 1, dtype=np.uint32)
-    if init_upper and limit >= 2:
-        ns = np.arange(2, limit + 1, dtype=np.float64)
-        f[2:] = np.floor(3.0 * np.log2(ns)).astype(np.uint32)
-    rank = np.zeros(limit + 1, dtype=np.uint8) if with_ranks else None
-
-    E_np = np.array(_e_table(limit), dtype=np.int64)
-    profile = _upper_profile(limit)
-    idx = np.arange(limit + 1, dtype=np.int64)
-
-    candidates: list[int] | None = None
-    if bootstrap and limit >= 4:
-        # smaller addends never exceed 2*limit**0.585 at convergence
-        prefix = min(limit, int(2 * limit**0.585) + 8)
-        pre = build_sieve(prefix, with_ranks=False)
-        candidates = bootstrap_addends(pre.complexity, prefix)
-
-    height = 2
-    clean = 0
-    while clean < 2:
-        if height > MAX_COMPLEXITY:
-            raise RuntimeError("relaxation failed to converge")
-        if height % 2 == 0:
-            changed = _product_pass(f, rank, height, limit)
-        else:
-            changed = _sum_pass(f, rank, height, limit, E_np, profile, idx, candidates)
-        clean = 0 if changed else clean + 1
-        height += 1
-
-    if limit >= 2 and bool((f[1:].astype(np.int64) > profile[1:]).any()):
-        raise RuntimeError(
-            "scan-cap profile certification failed; rebuild with a wider profile"
-        )
-
-    comp = f.astype(np.uint8)
-    comp[0] = 0
-    rank_bytes = None
-    if rank is not None:
-        rank[0] = 0
-        rank[1] = 0
-        for i in range(2, min(5, limit) + 1):
-            if rank[i] == 0:
-                rank[i] = 1
-        rank_bytes = rank.tobytes()
+def build_sieve(limit: int, with_ranks: bool = False) -> ComplexityTable:
+    """Build the complexity table (and optionally ranks) for [1, limit]."""
+    complexity, rank = _build(limit, ranks=with_ranks)
     return ComplexityTable(
-        limit=limit,
-        complexity=comp.tobytes(),
-        rank=rank_bytes,
-        algorithm_tag="sieve",
+        limit=limit, complexity=complexity, rank=rank, algorithm_tag="sieve"
     )

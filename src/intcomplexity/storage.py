@@ -76,16 +76,19 @@ class Checkpoint:
             raise ValueError("checkpoint prefix length mismatch")
 
 
-def _checksum(payload: bytes) -> int:
-    return int(np.frombuffer(payload, dtype=np.uint8).sum(dtype=np.uint64)) % 2**64
+def _checksum(*parts) -> int:
+    """Sum of the bytes of all parts mod 2**64; parts are any buffers."""
+    return sum(int(np.frombuffer(p, dtype=np.uint8).sum(dtype=np.uint64)) for p in parts) % 2**64
 
 
-def _atomic_write(path: str, blob: bytes) -> None:
+def _atomic_write(path: str, head: bytes, *payload) -> None:
+    """Write head, the payload buffers and their checksum, without joining them."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".icx-", dir=directory)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            for chunk in (head, *payload, _U64.pack(_checksum(*payload))):
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -97,31 +100,21 @@ def save(table: ComplexityTable, path: str) -> None:
     """Write a complete table; load(path) returns a bit-identical one."""
     flags = FLAG_RANKS if table.rank is not None else 0
     flags |= _TAG_CODES[table.algorithm_tag] << _TAG_SHIFT
-    payload = table.complexity[1:]
+    payload = [memoryview(table.complexity)[1:]]
     if table.rank is not None:
-        payload += table.rank[1:]
-    blob = (
-        _HEADER.pack(MAGIC, VERSION, table.limit, flags)
-        + payload
-        + _U64.pack(_checksum(payload))
-    )
-    _atomic_write(path, blob)
+        payload.append(memoryview(table.rank)[1:])
+    _atomic_write(path, _HEADER.pack(MAGIC, VERSION, table.limit, flags), *payload)
 
 
-def save_checkpoint(path: str, limit: int, position: int, prefix: bytes) -> None:
-    """Write a partial table covering n = 1..position of a limit-sized build."""
+def save_checkpoint(path: str, limit: int, position: int, prefix) -> None:
+    """Write a partial table covering n = 1..position of a limit-sized build;
+    ``prefix`` is any buffer of position + 1 bytes (index 0 unused)."""
     if not 1 <= position <= limit:
         raise ValueError("checkpoint position outside [1, limit]")
     if len(prefix) != position + 1:
         raise ValueError("checkpoint prefix length mismatch")
-    payload = bytes(prefix[1:])
-    blob = (
-        _HEADER.pack(MAGIC, VERSION, limit, FLAG_PARTIAL)
-        + _U64.pack(position)
-        + payload
-        + _U64.pack(_checksum(payload))
-    )
-    _atomic_write(path, blob)
+    head = _HEADER.pack(MAGIC, VERSION, limit, FLAG_PARTIAL) + _U64.pack(position)
+    _atomic_write(path, head, memoryview(prefix)[1:])
 
 
 def load(path: str) -> ComplexityTable | Checkpoint:

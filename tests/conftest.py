@@ -29,7 +29,7 @@ def dp_5k():
 
 @pytest.fixture(scope="session")
 def desk_table():
-    """Ranked sieve table at the desk-scale limit (takes ~10s once)."""
+    """Ranked table at the desk-scale limit (about 1 s to build)."""
     return build_sieve(DESK_LIMIT, with_ranks=True)
 
 

@@ -1,53 +1,37 @@
-import math
-import os
-
 import pytest
 
 from golden import FIRST_FIFTEEN
-from intcomplexity.dp import EliminatorQueue, build_dp, factorize_at, resume_dp
-from intcomplexity.sieve import build_sieve
+from intcomplexity import storage
+from intcomplexity.dp import build_dp, resume_dp
+from intcomplexity.primality import factorize
 from intcomplexity.storage import BadMagicError, Checkpoint, load
 
 
-def trial_factorize(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+class Crash(Exception):
+    pass
 
 
-def test_factorize_examples():
-    q = EliminatorQueue(1000)
-    assert q.factorize_at(12) == [2, 2, 3]
-    assert q.factorize_at(97) == [97]
+def crash_after(monkeypatch, k):
+    """Let storage.save_checkpoint write k checkpoints, then raise: a
+    build killed right after its k-th checkpoint (k = None never raises).
+    Returns the list of positions written, which grows as the build runs."""
+    real = storage.save_checkpoint
+    written = []
+
+    def save(path, limit, position, prefix):
+        real(path, limit, position, prefix)
+        written.append(position)
+        if len(written) == k:
+            raise Crash
+
+    monkeypatch.setattr(storage, "save_checkpoint", save)
+    return written
 
 
 def test_least_value_44_is_prime():
     # 540539 + 1 factors as 2^2 * 3^3 * 5 * 7 * 11 * 13; the value itself is prime
-    assert trial_factorize(540540) == [2, 2, 3, 3, 3, 5, 7, 11, 13]
-    q = EliminatorQueue(600_000)
-    assert q.factorize_at(540539) == [540539]
-
-
-def test_factorization_against_trial_division():
-    q = EliminatorQueue(20_000)
-    for n in range(2, 20_001):
-        assert factorize_at(q, n) == trial_factorize(n), n
-
-
-def test_out_of_order_rejected():
-    q = EliminatorQueue(100)
-    q.factorize_at(10)
-    with pytest.raises(ValueError):
-        q.factorize_at(10)
-    with pytest.raises(ValueError):
-        q.factorize_at(5)
+    assert factorize(540540) == [2, 2, 3, 3, 3, 5, 7, 11, 13]
+    assert factorize(540539) == [540539]
 
 
 def test_first_fifteen():
@@ -63,53 +47,64 @@ def test_known_power_values():
     assert t.value(121) == 15  # 11**2
 
 
-def test_matches_sieve():
-    for limit in (1000, 30_000):
-        assert build_dp(limit).complexity == build_sieve(limit).complexity
-
-
-def test_full_addend_scan_equivalent():
-    # starting the scan at 1 instead of 6 changes nothing: addends 2..5
-    # are dominated by the 1 + f[n-1] route
-    lim = 100_000
-    assert build_dp(lim, _addend_start=6).complexity == build_dp(lim, _addend_start=1).complexity
-
-
-def test_checkpoint_resume_identical(tmp_path):
+def test_checkpoint_resume_identical(tmp_path, monkeypatch):
+    oneshot = build_dp(30_000)
     path = str(tmp_path / "t.icx")
-    part = build_dp(30_000, out=path, _stop_at=11_000)
-    assert isinstance(part, Checkpoint)
-    assert part.position == 11_000
+    crash_after(monkeypatch, 2)
+    with pytest.raises(Crash):
+        build_dp(30_000, checkpoint_every=4000, out=path)
+    monkeypatch.undo()
     on_disk = load(path)
     assert isinstance(on_disk, Checkpoint)
-    assert on_disk.position == 11_000
-    resumed = resume_dp(path, 30_000)
+    assert on_disk.position == 8000
+    assert resume_dp(path, 30_000).complexity == oneshot.complexity
+
+
+def test_resume_from_any_position(tmp_path):
+    # positions no block ends at, as older builders wrote them
     oneshot = build_dp(30_000)
-    assert resumed.complexity == oneshot.complexity
-
-
-def test_periodic_checkpoints(tmp_path):
     path = str(tmp_path / "t.icx")
-    build_dp(5000, checkpoint_every=1500, out=path, _stop_at=4000)
-    got = load(path)
-    assert isinstance(got, Checkpoint)
-    assert got.position == 4000
-    final = resume_dp(path, 5000, out=path)
-    assert load(path).complexity == final.complexity
+    for position in (1, 2, 11_000, 11_111, 29_999):
+        storage.save_checkpoint(path, 30_000, position, oneshot.complexity[: position + 1])
+        assert resume_dp(path, 30_000).complexity == oneshot.complexity
 
 
-def test_resume_truncated_view(tmp_path):
+def test_periodic_checkpoints(tmp_path, monkeypatch):
     path = str(tmp_path / "t.icx")
-    build_dp(20_000, out=path, _stop_at=15_000)
+    written = crash_after(monkeypatch, None)
+    oneshot = build_dp(100_000, checkpoint_every=10_000, out=path)
+    assert written == [10_000 * k for k in range(1, 10)]
+    assert load(path).complexity == oneshot.complexity
+    monkeypatch.undo()
+    written = crash_after(monkeypatch, 4)
+    with pytest.raises(Crash):
+        build_dp(100_000, checkpoint_every=10_000, out=path)
+    assert load(path).position == 40_000
+    monkeypatch.undo()
+    written = crash_after(monkeypatch, None)
+    final = resume_dp(path, 100_000, out=path, checkpoint_every=10_000)
+    assert written == [10_000 * k for k in range(5, 10)]
+    assert final.complexity == oneshot.complexity
+    assert load(path).complexity == oneshot.complexity
+
+
+def test_resume_truncated_view(tmp_path, monkeypatch):
+    path = str(tmp_path / "t.icx")
+    crash_after(monkeypatch, 3)
+    with pytest.raises(Crash):
+        build_dp(20_000, checkpoint_every=5000, out=path)
+    assert load(path).position == 15_000
     view = resume_dp(path, 10_000)
     ref = build_dp(10_000)
     assert view.limit == 10_000
     assert view.complexity == ref.complexity
 
 
-def test_resume_corrupt_magic(tmp_path):
+def test_resume_corrupt_magic(tmp_path, monkeypatch):
     path = str(tmp_path / "t.icx")
-    build_dp(2000, out=path, _stop_at=1000)
+    crash_after(monkeypatch, 1)
+    with pytest.raises(Crash):
+        build_dp(2000, checkpoint_every=1000, out=path)
     blob = bytearray(open(path, "rb").read())
     blob[0] ^= 0xFF
     with open(path, "wb") as fh:

@@ -1,17 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from golden import FIRST_FIFTEEN
-from intcomplexity.enumerator import oracle_table
-from intcomplexity.sieve import (
-    MAX_SIEVE_LIMIT,
-    _e_table,
-    _product_pass,
-    _sum_pass,
-    _upper_profile,
-    bootstrap_addends,
-    build_sieve,
-)
+from golden import FIRST_FIFTEEN, LEAST_BY_RANK, LEAST_VALUE
+from intcomplexity.cli import main
+from intcomplexity.core import max_expressible
+from intcomplexity.sieve import build_sieve
 
 
 def test_first_fifteen():
@@ -26,11 +21,9 @@ def test_rank_small():
     assert [t.rank_of(n) for n in (2, 3, 4, 5)] == [1, 1, 1, 1]
 
 
-def test_matches_oracle():
-    sv = build_sieve(600, with_ranks=True)
-    oc = oracle_table(600)
-    assert sv.complexity == oc.complexity
-    assert sv.rank == oc.rank
+def test_matches_oracle(sieve_5k, oracle_5k):
+    assert sieve_5k.complexity == oracle_5k.complexity
+    assert sieve_5k.rank == oracle_5k.rank
 
 
 def test_tiny_limits():
@@ -41,43 +34,70 @@ def test_tiny_limits():
     assert [t.value(n) for n in (1, 2, 3)] == [1, 2, 3]
 
 
-def test_extra_passes_change_nothing(sieve_5k):
-    limit = sieve_5k.limit
-    f = np.frombuffer(sieve_5k.complexity, dtype=np.uint8).astype(np.uint32)
-    E_np = np.array(_e_table(limit), dtype=np.int64)
-    profile = _upper_profile(limit)
-    idx = np.arange(limit + 1, dtype=np.int64)
-    assert not _product_pass(f, None, 98, limit)
-    assert not _sum_pass(f, None, 99, limit, E_np, profile, idx, None)
+def test_prefix_of_larger_table(sieve_5k, desk_table):
+    # blocks double until they are 2**16 wide (desk_table's are wider), so
+    # these limits end blocks at many places; each table is a prefix of the
+    # larger one
+    for limit in (*range(1, 70), 4097, 5000):
+        t = build_sieve(limit, with_ranks=True)
+        assert t.complexity == sieve_5k.complexity[: limit + 1], limit
+        assert t.rank == sieve_5k.rank[: limit + 1], limit
+    for limit in (2**16 - 1, 2**16 + 1, 2**17 + 2**16 + 5):
+        t = build_sieve(limit, with_ranks=True)
+        assert t.complexity == desk_table.complexity[: limit + 1], limit
+        assert t.rank == desk_table.rank[: limit + 1], limit
 
 
-def test_upper_bound_init_same_table():
-    for limit in (100, 2000, 20_000):
-        a = build_sieve(limit)
-        b = build_sieve(limit, init_upper=True)
-        assert a.complexity == b.complexity
+def test_table_recomputes_from_its_splits(desk_table):
+    """Every entry is the least of its +1, product and sum splits.
+
+    The smaller addend a of a minimal sum split satisfies
+    a(n - a) <= E(f(n)), E being the largest value of each complexity,
+    so the bounded scan below proves the whole table from f(1) = 1.  A
+    seeded sample is also checked against every sum split.
+    """
+    f = np.frombuffer(desk_table.complexity, dtype=np.uint8).astype(np.int64)
+    limit = desk_table.limit
+    assert f[1] == 1
+    best = np.empty(limit + 1, dtype=np.int64)
+    best[2:] = f[1:-1] + 1
+    for d in range(2, math.isqrt(limit) + 1):
+        np.minimum(best[d * d :: d], f[d] + f[d : limit // d + 1], out=best[d * d :: d])
+    E = np.array([0] + [max_expressible(k) for k in range(1, int(f.max()) + 1)], dtype=np.int64)
+    e_of_f = E[f]
+    n = np.arange(limit + 1, dtype=np.int64)
+    a = 1
+    while True:
+        ok = a * (n[2 * a :] - a) <= e_of_f[2 * a :]
+        if not ok.any():
+            break
+        cand = np.where(ok, f[a] + f[a : limit - a + 1], best[2 * a :])
+        np.minimum(best[2 * a :], cand, out=best[2 * a :])
+        a += 1
+    assert np.array_equal(best[2:], f[2:])
+
+    rng = np.random.default_rng(2012)
+    for m in sorted(rng.integers(2, limit + 1, size=48).tolist()) + [limit]:
+        h = m // 2
+        sums = f[1 : h + 1] + f[m - 1 : m - h - 1 : -1]
+        prods = [f[d] + f[m // d] for d in range(2, math.isqrt(m) + 1) if m % d == 0]
+        assert min([int(sums.min())] + prods) == f[m], m
 
 
-def test_bootstrap_same_table():
-    for limit in (100, 2000, 20_000):
-        a = build_sieve(limit, with_ranks=True)
-        b = build_sieve(limit, with_ranks=True, bootstrap=True)
-        assert a.complexity == b.complexity
-        assert a.rank == b.rank
+def test_least_values_match_published(desk_seq):
+    assert {k: desk_seq.smallest[k] for k in LEAST_VALUE} == LEAST_VALUE
 
 
-def test_bootstrap_addend_set():
-    conv = build_sieve(50)
-    cands = set(bootstrap_addends(conv.complexity, 50))
-    assert 1 in cands
-    assert 6 in cands  # 2*3 beats any sum split
-    assert 7 not in cands  # 7 = 1 + 2*3 is additive-optimal
+def test_least_by_rank_match_published(desk_seq):
+    published = {r: v for r, v in LEAST_BY_RANK.items() if r <= 14}
+    assert {r: desk_seq.rank_firsts[r] for r in published} == published
 
 
-def test_configuration_errors():
+def test_configuration_errors(capsys, tmp_path):
     with pytest.raises(ValueError):
         build_sieve(0)
-    with pytest.raises(ValueError):
-        build_sieve(10, with_ranks=True, init_upper=True)
-    with pytest.raises(ValueError, match="dp builder"):
-        build_sieve(MAX_SIEVE_LIMIT + 1)
+    # a table larger than physical memory is refused before any allocation
+    out = str(tmp_path / "big.icx")
+    for algo in ("sieve", "dp"):
+        assert main(["build", "--algo", algo, "--limit", str(10**13), "--out", out]) == 2
+        assert "physical memory" in capsys.readouterr().err

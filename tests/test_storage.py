@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from intcomplexity.sieve import build_sieve
@@ -99,3 +100,16 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_validation(tmp_path):
     with pytest.raises(ValueError):
         save_checkpoint(str(tmp_path / "c.icx"), limit=10, position=11, prefix=bytes(12))
+
+
+def test_checkpoint_from_any_buffer(tmp_path):
+    prefix = bytes([0, 1, 2, 3, 4, 5])
+    a, b = str(tmp_path / "a.icx"), str(tmp_path / "b.icx")
+    save_checkpoint(a, limit=100, position=5, prefix=prefix)
+    save_checkpoint(b, limit=100, position=5, prefix=memoryview(np.frombuffer(prefix, np.uint8)))
+    blob = open(a, "rb").read()
+    assert blob == open(b, "rb").read()
+    # ICX1: header, position, payload n = 1..5, byte-sum checksum
+    assert blob == (b"ICX1" + (1).to_bytes(4, "little") + (100).to_bytes(8, "little")
+                    + (2).to_bytes(4, "little") + (5).to_bytes(8, "little")
+                    + bytes([1, 2, 3, 4, 5]) + (15).to_bytes(8, "little"))
