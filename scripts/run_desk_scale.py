@@ -8,6 +8,12 @@ verification reports, collapse/chain/first-operation scans, the
 least-value fit, and the top logarithmic complexities into that
 directory as CSV and JSON.
 
+The table is loaded (or built) once, its ``SequenceSet`` is derived once
+and shared by the seq, chains and fit-e reports, and every analysis runs
+once; its CSV and JSON are emitted from that one result.  Each file is
+byte-identical to what the matching ``intcomplexity`` subcommand prints
+with ``--table`` and ``--format``.
+
     PYTHONPATH=src python3 scripts/run_desk_scale.py --limit 2000000 --outdir results
 """
 
@@ -18,8 +24,7 @@ import os
 import sys
 import time
 
-from intcomplexity import analysis, storage
-from intcomplexity.cli import main as cli_main
+from intcomplexity import analysis, cli, storage
 from intcomplexity.sieve import build_sieve
 
 
@@ -40,27 +45,34 @@ def run(limit: int, outdir: str) -> int:
     else:
         print(f"reusing {table_path}")
 
+    seq = analysis.derive_sequences(table)
+    parser = cli.build_parser()
     rc = 0
-    for cmd, name in [
-        (["seq"], "sequences"),
-        (["verify", "all"], "verify"),
-        (["collapse", "--primes-below", "1000"], "collapse"),
-        (["chains"], "chains"),
-        (["firstop"], "firstop"),
-        (["fit-e"], "fit-e"),
-        (["top-log", "--count", "16"], "top-log"),
+    for name, cmd, compute, source in [
+        ("sequences", ["seq"], cli.seq_rows, seq),
+        ("verify", ["verify", "all"], cli.verify_reports, table),
+        ("collapse", ["collapse", "--primes-below", "1000"], cli.collapse_rows, table),
+        ("chains", ["chains"], cli.chains_rows, seq),
+        ("firstop", ["firstop"], cli.firstop_rows, table),
+        ("fit-e", ["fit-e"], cli.fit_e_rows, seq),
+        ("top-log", ["top-log", "--count", "16"], cli.top_log_rows, table),
     ]:
-        for fmt in ("csv", "json"):
-            if cmd[0] == "verify" and fmt == "csv":
-                continue
+        formats = ("json",) if name == "verify" else ("csv", "json")
+        try:
+            result = compute(source, parser.parse_args([*cmd, "--table", table_path]))
+            if name == "verify":
+                texts = {"json": "".join(cli.emit_report(r, "json") for r in result)}
+                code = 0 if all(r.passed for r in result) else 1
+            else:
+                texts = {fmt: cli.emit_rows(*result, fmt) for fmt in formats}
+                code = 0
+        except cli.ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            texts, code = dict.fromkeys(formats, ""), 2
+        for fmt in formats:
             out_path = os.path.join(outdir, f"{name}.{fmt}")
             with open(out_path, "w") as fh:
-                old = sys.stdout
-                sys.stdout = fh
-                try:
-                    code = cli_main(cmd + ["--table", table_path, "--format", fmt])
-                finally:
-                    sys.stdout = old
+                fh.write(texts[fmt])
             rc = max(rc, code)
             print(f"wrote {out_path} (rc {code})")
     return rc

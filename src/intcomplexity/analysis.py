@@ -21,11 +21,13 @@ from .core import (
     ComplexityTable,
     FIRST_SUM_NECESSARY,
     addend_bound,
+    block_width,
     defect,
     hamming_weight,
     log_complexity,
     max_expressible,
     mersenne_upper_bound,
+    product_slices,
 )
 from .expr import ExprTree, ONE, add, mul
 from .primality import is_prime, primes_up_to
@@ -609,17 +611,29 @@ def classify_first_operation(t: ComplexityTable, n: int) -> FirstOpRecord:
 def first_operation_scan(t: ComplexityTable) -> list[FirstOpRecord]:
     """All n whose optimum forces a first subtraction of 6 or more.
 
-    Numbers whose optimum is reachable by a product split or by +1 are
-    filtered out; the survivors are classified individually.  Empty at
-    any limit below the first sum-necessary number.
+    Works in blocks of ``block_width(limit)``.  In each block numpy marks
+    the n that a +1 split settles, f(n) = f(n-1) + 1, and the n that a
+    product split settles, f(d) + f(n/d) = f(n) for some 2 <= d <= sqrt(n),
+    one strided slice per d; only the unmarked survivors are classified
+    one by one.  The records, their fields and their order are those of
+    classifying every n with f(n) != f(n-1) + 1.  Empty at any limit below
+    the first sum-necessary number.
     """
     c = _comp_array(t)
-    plus1 = np.nonzero(c[2:] != c[1:-1] + 1)[0] + 2
+    # f(d) + f(n/d) <= 3*log2(n) < 256 in a valid table; widen a table
+    # holding larger values so that the sums cannot wrap
+    wide = c if c.max() <= 127 else c.astype(np.int16)
+    width = block_width(t.limit)
     out = []
-    for n in plus1:
-        rec = classify_first_operation(t, int(n))
-        if rec.classification not in ("product", "sub1"):
-            out.append(rec)
+    for lo in range(2, t.limit + 1, width):
+        hi = min(lo + width, t.limit + 1)
+        survivors = c[lo:hi] != c[lo - 1 : hi - 1] + 1
+        for d, tgt, cof in product_slices(lo, hi):
+            survivors[tgt] &= wide[cof] + wide[d] != wide[lo:hi][tgt]
+        for n in np.flatnonzero(survivors) + lo:
+            rec = classify_first_operation(t, int(n))
+            if rec.classification not in ("product", "sub1"):
+                out.append(rec)
     return out
 
 

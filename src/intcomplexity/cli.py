@@ -1,9 +1,15 @@
 """Command-line front door.
 
-Subcommands: build, query, oracle, seq, verify, collapse, chains,
-firstop, fit-e, top-log, expr.  Exit codes: 0 success (and every
-checked fact holds in range), 1 a verification found counterexamples,
-2 usage or configuration error.
+Subcommands: build, resume, query, oracle, seq, verify, collapse,
+chains, firstop, fit-e, top-log, expr.  Exit codes: 0 success (and
+every checked fact holds in range), 1 a verification found
+counterexamples, 2 usage or configuration error.
+
+Each table-reading subcommand is a function from the table (for seq,
+chains and fit-e, from its ``SequenceSet``) and the parsed arguments to
+headers and rows (for verify, to reports), and a ``_cmd_*`` wrapper that
+loads the table and emits them; ``scripts/run_desk_scale.py`` calls the
+functions on one loaded table.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import argparse
 import sys
 
 from . import analysis, reporting, storage
-from .dp import build_dp
+from .dp import build_dp, resume_dp
 from .enumerator import oracle_complexity
 from .expr import infix, postfix_emit
 from .reporting import emit_report, emit_rows, fmt_real
@@ -25,6 +31,10 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 
 def _load(path: str):
     return storage.load_table(path)
+
+
+# failures reported as "error: ..." with exit code 2
+ERRORS = (ValueError, storage.IcxError, OSError, RuntimeError)
 
 
 def _cmd_build(args) -> int:
@@ -44,22 +54,30 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _cmd_query(args) -> int:
-    table = _load(args.table)
+def _cmd_resume(args) -> int:
+    table = resume_dp(args.checkpoint, args.limit, out=args.out,
+                      checkpoint_every=args.checkpoint_every)
+    print(f"resumed dp table to n = {table.limit}: {args.out}")
+    return 0
+
+
+def query_rows(table, args):
     n = args.n
     c = table.value(n)
     if table.has_ranks:
         r = table.rank_of(n)
     else:
         r = analysis.Reconstructor(table).min_height(n)
-    if args.format == "json":
-        sys.stdout.write(
-            emit_rows(["n", "complexity", "rank"], [[n, c, r]], "json")
-        )
-    elif args.format == "csv":
-        sys.stdout.write(emit_rows(["n", "complexity", "rank"], [[n, c, r]], "csv"))
-    else:
+    return ["n", "complexity", "rank"], [[n, c, r]]
+
+
+def _cmd_query(args) -> int:
+    headers, rows = query_rows(_load(args.table), args)
+    if args.format == "text":
+        _, c, r = rows[0]
         print(f"complexity {c}, rank {r}")
+    else:
+        sys.stdout.write(emit_rows(headers, rows, args.format))
     return 0
 
 
@@ -80,9 +98,7 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_seq(args) -> int:
-    table = _load(args.table)
-    seq = analysis.derive_sequences(table)
+def seq_rows(seq: analysis.SequenceSet, args):
     headers = ["sequence", "k", "value", "reliable", "limit", "algorithm"]
     rows: list[list] = []
     for k in sorted(seq.smallest):
@@ -98,6 +114,11 @@ def _cmd_seq(args) -> int:
         for k in sorted(seq.rank_firsts):
             rows.append(["rank_first", k, seq.rank_firsts[k],
                          k <= (seq.reliable_rank_max or 0), seq.limit, seq.algorithm_tag])
+    return headers, rows
+
+
+def _cmd_seq(args) -> int:
+    headers, rows = seq_rows(analysis.derive_sequences(_load(args.table)), args)
     sys.stdout.write(emit_rows(headers, rows, args.format))
     return 0
 
@@ -113,105 +134,129 @@ def _run_verify(table, kind: str) -> reporting.Report:
     if kind == "prime-plus1":
         return analysis.check_prime_plus1(table)
     if kind == "mersenne":
-        return analysis.mersenne_table(table)
+        report = analysis.mersenne_table(table)
+        report.details = {k: v for k, v in report.details.items() if k != "rows"}
+        return report
     if kind == "defect-rank":
         return analysis.check_defect_rank(table)
     raise ValueError(f"unknown verification {kind!r}")
 
 
-def _cmd_verify(args) -> int:
-    table = _load(args.table)
+def verify_reports(table, args) -> list[reporting.Report]:
     kinds = list(_VERIFY_KINDS) if args.kind == "all" else [args.kind]
     if not table.has_ranks and "defect-rank" in kinds and args.kind == "all":
         kinds.remove("defect-rank")
-    rc = 0
-    for kind in kinds:
-        report = _run_verify(table, kind)
-        if kind == "mersenne":
-            report.details = {k: v for k, v in report.details.items() if k != "rows"}
-        fmt = "json" if args.format == "json" else "text"
+    return [_run_verify(table, kind) for kind in kinds]
+
+
+def _cmd_verify(args) -> int:
+    reports = verify_reports(_load(args.table), args)
+    fmt = "json" if args.format == "json" else "text"
+    for report in reports:
         sys.stdout.write(emit_report(report, fmt))
-        if not report.passed:
-            rc = 1
-    return rc
+    return 0 if all(report.passed for report in reports) else 1
 
 
-def _cmd_collapse(args) -> int:
-    table = _load(args.table)
+def collapse_rows(table, args):
     recs = analysis.collapse_scan(table, args.primes_below)
     headers = ["p", "collapses_at", "checked_up_to", "complexity", "rank", "log_complexity"]
     rows = [[r.p, r.collapses_at, r.checked_up_to, r.complexity, r.rank, r.log_complexity]
             for r in recs]
+    return headers, rows
+
+
+def _cmd_collapse(args) -> int:
+    headers, rows = collapse_rows(_load(args.table), args)
     sys.stdout.write(emit_rows(headers, rows, args.format))
     return 0
 
 
-def _cmd_chains(args) -> int:
-    table = _load(args.table)
-    seq = analysis.derive_sequences(table, include_rank_sequence=False)
+def chains_rows(seq: analysis.SequenceSet, args):
     recs = analysis.chain_scan(seq)
     headers = ["k", "end", "end_is_prime", "chain", "length",
                "half_prime", "third_prime", "quarter_prime"]
     rows = [[r.n, r.end, r.end_is_prime, "-".join(map(str, r.chain)), r.length,
              r.near_prime[1], r.near_prime[2], r.near_prime[3]] for r in recs]
+    return headers, rows
+
+
+def _cmd_chains(args) -> int:
+    seq = analysis.derive_sequences(_load(args.table), include_rank_sequence=False)
+    headers, rows = chains_rows(seq, args)
     sys.stdout.write(emit_rows(headers, rows, args.format))
-    if args.format == "text" and recs:
-        total = len(recs)
-        for kk, label in ((1, "(e-1)/2"), ((2), "(e-2)/3"), ((3), "(e-3)/4")):
-            hits = sum(1 for r in recs if r.near_prime[kk])
-            print(f"{label} prime for {hits}/{total} reliable entries")
+    if args.format == "text" and rows:
+        for col, label in ((5, "(e-1)/2"), (6, "(e-2)/3"), (7, "(e-3)/4")):
+            hits = sum(1 for row in rows if row[col])
+            print(f"{label} prime for {hits}/{len(rows)} reliable entries")
     return 0
 
 
-def _cmd_firstop(args) -> int:
-    table = _load(args.table)
+def firstop_rows(table, args):
     recs = analysis.first_operation_scan(table)
     headers = ["n", "has_product_decomposition", "minimal_addend", "classification"]
     rows = [[r.n, r.has_product_decomposition, r.minimal_addend, r.classification]
             for r in recs]
+    return headers, rows
+
+
+def _cmd_firstop(args) -> int:
+    table = _load(args.table)
+    headers, rows = firstop_rows(table, args)
     sys.stdout.write(emit_rows(headers, rows, args.format))
     if args.format == "text":
         print(f"{len(rows)} forced-subtraction number(s) at limit {table.limit}")
     return 0
 
 
-def _cmd_fit_e(args) -> int:
-    table = _load(args.table)
-    seq = analysis.derive_sequences(table, include_rank_sequence=False)
+def fit_e_rows(seq: analysis.SequenceSet, args):
     fit = analysis.fit_e_asymptote(seq)
     headers = ["k", "log3_value", "fitted", "residual", "slope", "intercept"]
     rows = [[k, fit.residuals[k] + fit.slope * k + fit.intercept,
              fit.slope * k + fit.intercept, fit.residuals[k], fit.slope, fit.intercept]
             for k in sorted(fit.residuals)]
+    return headers, rows
+
+
+def _cmd_fit_e(args) -> int:
+    seq = analysis.derive_sequences(_load(args.table), include_rank_sequence=False)
+    headers, rows = fit_e_rows(seq, args)
     if args.format == "text":
-        print(f"slope {fmt_real(fit.slope)}, intercept {fmt_real(fit.intercept)}, "
-              f"range {fit.n_range[0]}..{fit.n_range[1]}")
+        # every row carries the slope and intercept; the fit spans k = first..last row
+        slope, intercept = rows[0][4], rows[0][5]
+        print(f"slope {fmt_real(slope)}, intercept {fmt_real(intercept)}, "
+              f"range {rows[0][0]}..{rows[-1][0]}")
     sys.stdout.write(emit_rows(headers, rows, args.format))
     return 0
 
 
-def _cmd_top_log(args) -> int:
-    table = _load(args.table)
+def top_log_rows(table, args):
     entries = analysis.top_log_complexity(table, args.count)
     headers = ["n", "complexity", "log_complexity", "rank", "unique"]
     rows = [[e.n, e.complexity, e.log_complexity, e.rank, e.unique] for e in entries]
+    return headers, rows
+
+
+def _cmd_top_log(args) -> int:
+    headers, rows = top_log_rows(_load(args.table), args)
     sys.stdout.write(emit_rows(headers, rows, args.format))
     return 0
 
 
-def _cmd_expr(args) -> int:
-    table = _load(args.table)
+def expr_rows(table, args):
     tree = analysis.reconstruct(table, args.n, policy="min_height")
+    return (["n", "ones", "height", "infix", "postfix"],
+            [[args.n, tree.ones, tree.height, infix(tree), postfix_emit(tree)]])
+
+
+def _cmd_expr(args) -> int:
+    headers, rows = expr_rows(_load(args.table), args)
     if args.format == "text":
-        print(f"n {args.n}: ones {tree.ones}, height {tree.height}")
-        print(f"  {infix(tree)}")
-        print(f"  {postfix_emit(tree)}")
+        n, ones, height, infix_text, postfix_text = rows[0]
+        print(f"n {n}: ones {ones}, height {height}")
+        print(f"  {infix_text}")
+        print(f"  {postfix_text}")
     else:
-        sys.stdout.write(
-            emit_rows(["n", "ones", "height", "infix", "postfix"],
-                      [[args.n, tree.ones, tree.height, infix(tree), postfix_emit(tree)]],
-                      args.format)
-        )
+        sys.stdout.write(emit_rows(headers, rows, args.format))
     return 0
 
 
@@ -229,6 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.set_defaults(func=_cmd_build)
+
+    p = sub.add_parser("resume", help="finish an interrupted dp build from its checkpoint")
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--checkpoint-every", type=int, default=0)
+    p.set_defaults(func=_cmd_resume)
 
     p = sub.add_parser("query", help="complexity and rank of one value")
     p.add_argument("n", type=int)
@@ -298,7 +350,7 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 2
     try:
         return args.func(args)
-    except (ValueError, storage.IcxError, OSError, RuntimeError) as exc:
+    except ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,8 +4,9 @@ The complexity of a positive integer is the least number of 1s in an
 arithmetic expression for it over {1, +, *} (OEIS A005245).  Everything
 else in the package is built on the exact bounds and closed forms here:
 the 3*log3 lower bound, the largest-value-per-ones sequence (A000792),
-the integer logarithm (A001414), logarithmic complexity, defect, and the
-smallest-addend bound used by the builders.
+the integer logarithm (A001414), logarithmic complexity, defect, the
+smallest-addend bound used by the builders, and the block geometry of
+product splits that the builder and the first-operation scan share.
 """
 
 from __future__ import annotations
@@ -145,6 +146,28 @@ def addend_bound(n: int, c_upper: int) -> int:
     s = math.isqrt(disc)
     ceil_s = s if s * s == disc else s + 1
     return (n - ceil_s) // 2
+
+
+def block_width(limit: int) -> int:
+    """Widest block [lo, hi) that the block-wise passes take at this limit.
+
+    A block makes one numpy call per divisor d <= sqrt(hi), so a width in
+    proportion to sqrt(limit) keeps those calls a fixed share of its work;
+    small limits keep each block's temporaries near 64 KB.
+    """
+    return max(1 << 16, 64 * math.isqrt(limit))
+
+
+def product_slices(lo: int, hi: int):
+    """Product splits n = d*e, 2 <= d <= e, of the n in [lo, hi).
+
+    Yields (d, slice of the multiples n >= d*d of d, relative to lo,
+    slice of their cofactors e = n/d), one per d <= sqrt(hi - 1).
+    """
+    for d in range(2, math.isqrt(hi - 1) + 1):
+        first = max(d * d, -(-lo // d) * d)
+        if first < hi:
+            yield d, slice(first - lo, hi - lo, d), slice(first // d, (hi - 1) // d + 1)
 
 
 def hamming_weight(n: int) -> int:

@@ -1,7 +1,7 @@
 """Block-segmented builder: complexities, ranks, checkpoints and resume.
 
 Every table in the package comes from ``_build``.  It settles n in
-blocks [lo, hi), hi <= 2*lo and at most max(``BLOCK``, 64*sqrt(limit))
+blocks [lo, hi), hi <= 2*lo and at most ``core.block_width(limit)``
 wide, in increasing order; everything below lo is final when a block
 starts.
 
@@ -36,11 +36,15 @@ import os
 
 import numpy as np
 
-from .core import ComplexityTable, MAX_COMPLEXITY, addend_bound, max_expressible
+from .core import (
+    ComplexityTable,
+    MAX_COMPLEXITY,
+    addend_bound,
+    block_width,
+    max_expressible,
+    product_slices,
+)
 from . import storage
-
-# least block width; small builds keep each block's temporaries near 64 KB
-BLOCK = 1 << 16
 
 # rank estimate for "no such form yet"; 1 + _NONE still fits a uint8
 _NONE = 127
@@ -75,19 +79,11 @@ def _addend_top(blk: np.ndarray, lo: int, hi: int) -> int:
     return top
 
 
-def _products(f: np.ndarray, lo: int, hi: int):
-    """(d, block slice of the multiples of d, slice of their cofactors)."""
-    for d in range(2, math.isqrt(hi - 1) + 1):
-        first = max(d * d, -(-lo // d) * d)
-        if first < hi:
-            yield d, slice(first - lo, hi - lo, d), slice(first // d, (hi - 1) // d + 1)
-
-
 def _settle(f: np.ndarray, lo: int, hi: int) -> None:
     """Final complexities of [lo, hi), given the finished prefix f[:lo]."""
     blk = f[lo:hi]
     blk[:] = MAX_COMPLEXITY
-    for d, tgt, cof in _products(f, lo, hi):
+    for d, tgt, cof in product_slices(lo, hi):
         np.minimum(blk[tgt], f[cof] + f[d], out=blk[tgt])
     offset = np.arange(hi - lo + 1, dtype=np.int32)
     while True:
@@ -105,7 +101,7 @@ def _rank(f: np.ndarray, gs: np.ndarray, gp: np.ndarray, lo: int, hi: int) -> No
     """GS and GP of [lo, hi) from final complexities (see ``sieve``)."""
     blk = f[lo:hi]
     rp = np.full(hi - lo, _NONE, dtype=np.uint8)
-    for d, tgt, cof in _products(f, lo, hi):
+    for d, tgt, cof in product_slices(lo, hi):
         h = np.maximum(gp[cof], gp[d])
         h[f[cof] + f[d] != blk[tgt]] = _NONE
         np.minimum(rp[tgt], h, out=rp[tgt])
@@ -146,9 +142,7 @@ def _build(
         gs = np.full(limit + 1, _NONE, dtype=np.uint8)
         gp = np.full(limit + 1, _NONE, dtype=np.uint8)
         gs[1] = 1  # the One is a part of any sum at height 1
-    # a block makes one numpy call per divisor d <= sqrt(hi), so a width
-    # in proportion to sqrt(limit) keeps those calls a fixed share of its work
-    width = max(BLOCK, 64 * math.isqrt(limit))
+    width = block_width(limit)
     lo = len(prefix)
     while lo <= limit:
         hi = min(2 * lo, lo + width, limit + 1)

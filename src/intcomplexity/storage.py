@@ -3,7 +3,7 @@
 Layout, little-endian throughout:
 
     magic     4 bytes  b"ICX1"
-    version   u32      1
+    version   u32      2 (version 1 files are still read)
     limit     u64      table size n = 1..limit
     flags     u32      bit 0: rank section present
                        bit 1: partial checkpoint; a u64 position field
@@ -12,7 +12,9 @@ Layout, little-endian throughout:
                        bits 2-3: builder tag (0 sieve, 1 dp, 2 oracle)
     position  u64      only when flags bit 1 is set
     payload   bytes    complexity values, then rank values when flagged
-    checksum  u64      sum of payload bytes mod 2**64
+    checksum  u64      zlib.crc32 of the payload; in version 1, the sum
+                       of the payload bytes mod 2**64, which misses
+                       reordered bytes
 
 Writes go to a temporary file in the target directory and are renamed
 into place, so a torn write never leaves a half-written table behind.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,7 @@ import numpy as np
 from .core import ComplexityTable
 
 MAGIC = b"ICX1"
-VERSION = 1
+VERSION = 2
 FLAG_RANKS = 1
 FLAG_PARTIAL = 2
 _TAG_SHIFT = 2
@@ -77,8 +80,16 @@ class Checkpoint:
 
 
 def _checksum(*parts) -> int:
-    """Sum of the bytes of all parts mod 2**64; parts are any buffers."""
-    return sum(int(np.frombuffer(p, dtype=np.uint8).sum(dtype=np.uint64)) for p in parts) % 2**64
+    """CRC-32 of the concatenated parts; parts are any buffers."""
+    crc = 0
+    for p in parts:
+        crc = zlib.crc32(p, crc)
+    return crc
+
+
+def _byte_sum(payload) -> int:
+    """The version 1 checksum: sum of the payload bytes mod 2**64."""
+    return int(np.frombuffer(payload, dtype=np.uint8).sum(dtype=np.uint64)) % 2**64
 
 
 def _atomic_write(path: str, head: bytes, *payload) -> None:
@@ -126,7 +137,7 @@ def load(path: str) -> ComplexityTable | Checkpoint:
     magic, version, limit, flags = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise UnsupportedVersionError(f"{path}: unsupported version {version}")
     off = _HEADER.size
     partial = bool(flags & FLAG_PARTIAL)
@@ -151,7 +162,7 @@ def load(path: str) -> ComplexityTable | Checkpoint:
         )
     payload = blob[off:-8]
     declared = _U64.unpack_from(blob, len(blob) - 8)[0]
-    if _checksum(payload) != declared:
+    if (_checksum if version == VERSION else _byte_sum)(payload) != declared:
         raise ChecksumError(f"{path}: checksum mismatch")
     comp = b"\x00" + payload[:section]
     if partial:

@@ -1,13 +1,14 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from golden import COLLAPSE_POWER, COMPOSITE_LEAST, MERSENNE_EXCESS, TOP_LOG
 from intcomplexity import analysis as an
-from intcomplexity.core import LN3, max_expressible, second_max_expressible
+from intcomplexity.core import LN3, ComplexityTable, max_expressible, second_max_expressible
 from intcomplexity.expr import ONE, infix
-from intcomplexity.primality import is_prime
+from intcomplexity.primality import is_prime, primes_up_to
 
 
 # -- derived sequences ---------------------------------------------------
@@ -202,6 +203,40 @@ def test_first_operation_classify(sieve_50k):
 
 def test_first_operation_scan_empty(sieve_50k):
     assert an.first_operation_scan(sieve_50k) == []
+
+
+def _first_operation_reference(t):
+    """Classify every n with f(n) != f(n-1) + 1 one by one."""
+    c = np.frombuffer(t.complexity, dtype=np.uint8)
+    out = []
+    for n in np.nonzero(c[2:] != c[1:-1] + 1)[0] + 2:
+        rec = an.classify_first_operation(t, int(n))
+        if rec.classification not in ("product", "sub1"):
+            out.append(rec)
+    return out
+
+
+def _perturbed(t, seed=0, count=200):
+    """Lower some primes by 1 and some n by 2, so that sum splits survive."""
+    rng = random.Random(seed)
+    comp = bytearray(t.complexity)
+    for p in rng.sample(primes_up_to(t.limit)[10:], count):
+        comp[p] -= 1
+    for n in rng.sample(range(20, t.limit + 1), count):
+        comp[n] -= 2
+    return ComplexityTable(limit=t.limit, complexity=bytes(comp), algorithm_tag=t.algorithm_tag)
+
+
+@pytest.mark.parametrize("width", [None, 777])
+def test_first_operation_scan_matches_per_n(sieve_50k, monkeypatch, width):
+    if width:  # many blocks, ending at arbitrary n
+        monkeypatch.setattr(an, "block_width", lambda limit: width)
+    assert an.first_operation_scan(sieve_50k) == _first_operation_reference(sieve_50k)
+    broken = _perturbed(sieve_50k)
+    got = an.first_operation_scan(broken)
+    assert got == _first_operation_reference(broken)
+    assert any(r.classification == "sub_other" for r in got)
+    assert any(r.minimal_addend is not None for r in got)
 
 
 # -- chains ------------------------------------------------------------------

@@ -152,3 +152,35 @@ def test_missing_table_file(capsys):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_resume_command(tmp_path, monkeypatch, capsys):
+    from test_dp import Crash, crash_after
+
+    oneshot, path = str(tmp_path / "oneshot.icx"), str(tmp_path / "t.icx")
+    assert main(["build", "--algo", "dp", "--limit", "50000", "--out", oneshot]) == 0
+    written = crash_after(monkeypatch, 4)
+    with pytest.raises(Crash):
+        main(["build", "--algo", "dp", "--limit", "50000", "--out", path,
+              "--checkpoint-every", "5000"])
+    monkeypatch.undo()
+    assert written == [5000, 10000, 15000, 20000]
+    assert storage.load(path).position == 20000
+    rc, out = run(capsys, ["resume", "--checkpoint", path, "--limit", "50000", "--out", path,
+                           "--checkpoint-every", "5000"])
+    assert rc == 0 and "n = 50000" in out
+    assert open(path, "rb").read() == open(oneshot, "rb").read()
+
+
+def test_resume_bad_checkpoint(tmp_path, capsys):
+    path = str(tmp_path / "c.icx")
+    storage.save_checkpoint(path, limit=100, position=5, prefix=bytes([0, 1, 2, 3, 4, 5]))
+    out = str(tmp_path / "t.icx")
+    blob = open(path, "rb").read()
+    open(path, "wb").write(blob[:-3])
+    assert main(["resume", "--checkpoint", path, "--limit", "100", "--out", out]) == 2
+    open(path, "wb").write(blob[:-9] + bytes([blob[-9] ^ 1]) + blob[-8:])
+    assert main(["resume", "--checkpoint", path, "--limit", "100", "--out", out]) == 2
+    assert main(["resume", "--checkpoint", str(tmp_path / "none.icx"), "--limit", "100",
+                 "--out", out]) == 2
+    assert "error:" in capsys.readouterr().err

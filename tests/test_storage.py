@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -49,11 +52,38 @@ def test_flipped_payload_byte(table, tmp_path):
         load(path)
 
 
+def test_swapped_payload_bytes(table, tmp_path):
+    # a byte sum cannot see two payload bytes trade places; the CRC does
+    path = str(tmp_path / "t.icx")
+    save(table, path)
+    blob = bytearray(open(path, "rb").read())
+    i, j = 30, 31
+    assert blob[i] != blob[j]
+    blob[i], blob[j] = blob[j], blob[i]
+    open(path, "wb").write(blob)
+    with pytest.raises(ChecksumError):
+        load(path)
+
+
+def test_reads_version_1(table, tmp_path):
+    # version 1: the same layout with a byte-sum checksum
+    payload = table.complexity[1:] + table.rank[1:]
+    head = b"ICX1" + struct.pack("<IQI", 1, table.limit, 1)
+    path = str(tmp_path / "v1.icx")
+    open(path, "wb").write(head + payload + struct.pack("<Q", sum(payload)))
+    assert load_table(path) == table
+    blob = bytearray(open(path, "rb").read())
+    blob[30] ^= 0x01
+    open(path, "wb").write(blob)
+    with pytest.raises(ChecksumError):
+        load(path)
+
+
 def test_unsupported_version(table, tmp_path):
     path = str(tmp_path / "t.icx")
     save(table, path)
     blob = bytearray(open(path, "rb").read())
-    blob[4] = 2
+    blob[4] = 3
     open(path, "wb").write(blob)
     with pytest.raises(UnsupportedVersionError):
         load(path)
@@ -109,7 +139,8 @@ def test_checkpoint_from_any_buffer(tmp_path):
     save_checkpoint(b, limit=100, position=5, prefix=memoryview(np.frombuffer(prefix, np.uint8)))
     blob = open(a, "rb").read()
     assert blob == open(b, "rb").read()
-    # ICX1: header, position, payload n = 1..5, byte-sum checksum
-    assert blob == (b"ICX1" + (1).to_bytes(4, "little") + (100).to_bytes(8, "little")
+    # version 2: header, position, payload n = 1..5, CRC-32 of the payload
+    assert blob == (b"ICX1" + (2).to_bytes(4, "little") + (100).to_bytes(8, "little")
                     + (2).to_bytes(4, "little") + (5).to_bytes(8, "little")
-                    + bytes([1, 2, 3, 4, 5]) + (15).to_bytes(8, "little"))
+                    + bytes([1, 2, 3, 4, 5])
+                    + zlib.crc32(bytes([1, 2, 3, 4, 5])).to_bytes(8, "little"))
