@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Build the desk-scale table and emit every derived report.
 
-Builds a ranked table at the requested limit with ``build_sieve`` (the
-block builder; about 1 s and 40 MB at the default 2M), or reuses one
-already in the output directory, then writes the sequence tables,
-verification reports, collapse/chain/first-operation scans, the
-least-value fit, and the top logarithmic complexities into that
-directory as CSV and JSON.
+Builds a ranked table at the requested limit with ``dp.build`` (about
+1 s and 40 MB at the default 2M), or reuses one already in the output
+directory, then writes the sequence tables, verification reports,
+collapse/chain/first-operation scans, the least-value fit, and the top
+logarithmic complexities into that directory as CSV and JSON.
 
 The table is loaded (or built) once, its ``SequenceSet`` is derived once
 and shared by the seq, chains and fit-e reports, and every analysis runs
@@ -25,7 +24,7 @@ import sys
 import time
 
 from intcomplexity import analysis, cli, storage
-from intcomplexity.sieve import build_sieve
+from intcomplexity.dp import build
 
 
 def run(limit: int, outdir: str) -> int:
@@ -39,8 +38,7 @@ def run(limit: int, outdir: str) -> int:
         table = None
     if table is None:
         t0 = time.time()
-        table = build_sieve(limit, with_ranks=True)
-        storage.save(table, table_path)
+        table = build(limit, ranks=True, out=table_path)
         print(f"built ranked table to {limit} in {time.time() - t0:.1f}s -> {table_path}")
     else:
         print(f"reusing {table_path}")

@@ -3,10 +3,9 @@
 The complexity of n is the least number of 1s in an arithmetic
 expression for n over {1, +, *} (OEIS A005245); the rank of n is the
 least tree height among its shortest expressions.  The package provides
-one block-segmented table builder (``build_sieve`` with optional ranks,
-``build_dp``/``resume_dp`` with checkpoints), the exhaustive oracle
-that checks it, a binary table format, and the derived sequences,
-scans, and verification suites.
+one block-segmented table builder (``build``, with optional ranks,
+checkpoints and resume), the exhaustive oracle that checks it, a binary
+table format, and the derived sequences, scans, and verification suites.
 """
 
 from .core import (
@@ -24,10 +23,9 @@ from .core import (
     second_max_expressible,
     upper_bound,
 )
-from .dp import build_dp, resume_dp
+from .dp import build
 from .enumerator import CapExceededError, OracleResult, oracle_complexity, oracle_table
 from .expr import ExprTree, add, canonicalize, infix, mul, one, postfix_emit, postfix_parse
-from .sieve import build_sieve
 from .storage import Checkpoint, IcxError, load, load_table, save
 
 __version__ = "0.1.0"
@@ -42,8 +40,7 @@ __all__ = [
     "OracleResult",
     "add",
     "addend_bound",
-    "build_dp",
-    "build_sieve",
+    "build",
     "canonicalize",
     "complexity_bounds",
     "defect",
@@ -62,7 +59,6 @@ __all__ = [
     "oracle_table",
     "postfix_emit",
     "postfix_parse",
-    "resume_dp",
     "save",
     "second_max_expressible",
     "upper_bound",

@@ -5,7 +5,8 @@ chains, firstop, fit-e, top-log, expr.  Exit codes: 0 success (and
 every checked fact holds in range), 1 a verification found
 counterexamples, 2 usage or configuration error.
 
-Each table-reading subcommand is a function from the table (for seq,
+``build`` and ``resume`` are one call each to ``dp.build``.  Each
+table-reading subcommand is a function from the table (for seq,
 chains and fit-e, from its ``SequenceSet``) and the parsed arguments to
 headers and rows (for verify, to reports), and a ``_cmd_*`` wrapper that
 loads the table and emits them; ``scripts/run_desk_scale.py`` calls the
@@ -18,11 +19,15 @@ import argparse
 import sys
 
 from . import analysis, reporting, storage
-from .dp import build_dp, resume_dp
+from .dp import build
 from .enumerator import oracle_complexity
 from .expr import infix, postfix_emit
 from .reporting import emit_report, emit_rows, fmt_real
-from .sieve import build_sieve
+
+# Old names of build, kept only because the benchmark's tracer spans them:
+# cli.build_sieve and sieve.build_sieve (ranked builds) and cli.build_dp
+# (the others).  All three are deleted with ROADMAP item 1.
+build_sieve = build_dp = build
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -38,26 +43,17 @@ ERRORS = (ValueError, storage.IcxError, OSError, RuntimeError)
 
 
 def _cmd_build(args) -> int:
-    if args.algo == "sieve":
-        if args.checkpoint_every:
-            raise ValueError("only the dp builder writes checkpoints")
-        table = build_sieve(args.limit, with_ranks=args.ranks)
-        storage.save(table, args.out)
-    else:
-        if args.ranks:
-            raise ValueError("the dp builder does not produce ranks; use --algo sieve")
-        table = build_dp(args.limit, checkpoint_every=args.checkpoint_every, out=args.out)
-    print(
-        f"built {args.algo} table to n = {table.limit}"
-        f"{' with ranks' if table.rank is not None else ''}: {args.out}"
+    table = (build_sieve if args.ranks else build_dp)(
+        args.limit, ranks=args.ranks, checkpoint_every=args.checkpoint_every, out=args.out
     )
+    print(f"built table to n = {table.limit}{' with ranks' if args.ranks else ''}: {args.out}")
     return 0
 
 
 def _cmd_resume(args) -> int:
-    table = resume_dp(args.checkpoint, args.limit, out=args.out,
-                      checkpoint_every=args.checkpoint_every)
-    print(f"resumed dp table to n = {table.limit}: {args.out}")
+    table = build_dp(args.limit, checkpoint_every=args.checkpoint_every, out=args.out,
+                     resume=args.checkpoint)
+    print(f"resumed table to n = {table.limit}: {args.out}")
     return 0
 
 
@@ -268,14 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build and persist a complexity table")
-    p.add_argument("--algo", choices=("sieve", "dp"), default="sieve")
+    # ignored, since one builder makes every table; accepted because the
+    # benchmark still passes --algo dp, until ROADMAP item 1
+    p.add_argument("--algo", choices=("sieve", "dp"), help=argparse.SUPPRESS)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--ranks", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("resume", help="finish an interrupted dp build from its checkpoint")
+    p = sub.add_parser("resume", help="finish an interrupted build from its checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--out", required=True)

@@ -1,6 +1,6 @@
 """Block-segmented builder: complexities, ranks, checkpoints and resume.
 
-Every table in the package comes from ``_build``.  It settles n in
+Every table in the package comes from ``build``.  It settles n in
 blocks [lo, hi), hi <= 2*lo and at most ``core.block_width(limit)``
 wide, in increasing order; everything below lo is final when a block
 starts.
@@ -25,8 +25,28 @@ whose addend lies within the cap; so every value is exact.
 
 Checkpoints land at every multiple of ``checkpoint_every`` below the
 limit, where blocks are cut; a resumed build continues from whatever
-position its checkpoint holds.  Ranks are computed in the same blocks
-from the final values (see ``sieve``).
+position its checkpoint holds.
+
+Ranks are filled in the same blocks from the final complexities.  The
+rank of n is the least height of a shortest expression for n, where a
+canonical tree alternates sums and products and the One has height 0.
+A split of n is *tight* when its parts' complexities add up to f(n).
+Every subexpression of a shortest expression is shortest, so only tight
+splits occur.  For n >= 2:
+
+* RP(n) = min over tight d*e = n of max(GP(d), GP(e)), the least height
+  of a shortest product-rooted form;
+* RS(n) = min over tight j + (n-j) = n, 1 <= j <= addend_bound(n, f(n)),
+  of max(GS(j), GS(n-j)), the same for sum-rooted forms;
+* GS(n) = min(1 + RP(n), RS(n)), the height of a sum with n as a part (a
+  product part adds a level, a sum part merges), and GS(1) = 1;
+* GP(n) = min(1 + RS(n), RP(n)), the same for a product factor;
+
+and rank(n) = min(RS(n), RP(n)) = min(GS(n), GP(n)).  Factors lie in the
+finished prefix, so RP takes one strided pass per divisor.  Sum parts
+may lie in the block, so RS and GS are iterated there until GS stops
+changing; each estimate is the height of a real expression, so they
+only fall, to the exact values.  GS and GP take a byte each per entry.
 """
 
 from __future__ import annotations
@@ -98,7 +118,7 @@ def _settle(f: np.ndarray, lo: int, hi: int) -> None:
 
 
 def _rank(f: np.ndarray, gs: np.ndarray, gp: np.ndarray, lo: int, hi: int) -> None:
-    """GS and GP of [lo, hi) from final complexities (see ``sieve``)."""
+    """GS and GP of [lo, hi) from final complexities (see the module docstring)."""
     blk = f[lo:hi]
     rp = np.full(hi - lo, _NONE, dtype=np.uint8)
     for d, tgt, cof in product_slices(lo, hi):
@@ -121,29 +141,41 @@ def _rank(f: np.ndarray, gs: np.ndarray, gp: np.ndarray, lo: int, hi: int) -> No
             return
 
 
-def _build(
+def build(
     limit: int,
     *,
     ranks: bool = False,
-    prefix: bytes = b"\x00\x01",
     checkpoint_every: int = 0,
     out: str | None = None,
-) -> tuple[bytes, bytes | None]:
-    """Complexity bytes (and rank bytes) of [0, limit], continuing from
-    ``prefix``, whose values for n < len(prefix) must be final."""
+    resume: str | None = None,
+) -> ComplexityTable:
+    """Build the complexity table, and with ``ranks`` the rank column, for
+    [1, limit].
+
+    ``out`` is where the finished table is saved; with ``checkpoint_every``
+    > 0, partial snapshots land at the same path at every multiple of it
+    below ``limit`` (atomically, newest wins).  ``resume`` is the path of a
+    checkpoint or of a smaller finished table whose prefix is continued;
+    the result is bit-identical to a one-shot build, and a limit at or
+    below the stored position truncates the prefix without recomputing.
+    Checkpoints hold complexities only, so ``ranks`` excludes both.
+    """
+    if ranks and (checkpoint_every or resume):
+        raise ValueError("checkpoints hold complexities only: ranks cannot be checkpointed or resumed")
     _check_limit(limit, ranks)
     if checkpoint_every and not out:
         raise ValueError("checkpointing requires an output path")
-    prefix = prefix[: limit + 1]
+    prefix = storage.load(resume).complexity[: limit + 1] if resume else b"\x00\x01"
     f = np.empty(limit + 1, dtype=np.uint8)
-    f[: len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    lo = len(prefix)
+    f[:lo] = np.frombuffer(prefix, dtype=np.uint8)
+    del prefix
     gs = gp = None
     if ranks:
         gs = np.full(limit + 1, _NONE, dtype=np.uint8)
         gp = np.full(limit + 1, _NONE, dtype=np.uint8)
         gs[1] = 1  # the One is a part of any sum at height 1
     width = block_width(limit)
-    lo = len(prefix)
     while lo <= limit:
         hi = min(2 * lo, lo + width, limit + 1)
         if checkpoint_every:
@@ -161,34 +193,7 @@ def _build(
         gs[:2] = 0
         rank = gs.tobytes()
         del gs
-    return f.tobytes(), rank
-
-
-def _dp_table(limit: int, prefix: bytes, checkpoint_every: int, out: str | None):
-    complexity, _ = _build(limit, prefix=prefix, checkpoint_every=checkpoint_every, out=out)
-    table = ComplexityTable(limit=limit, complexity=complexity, rank=None, algorithm_tag="dp")
+    table = ComplexityTable(limit=limit, complexity=f.tobytes(), rank=rank, algorithm_tag="sieve")
     if out:
         storage.save(table, out)
     return table
-
-
-def build_dp(limit: int, checkpoint_every: int = 0, out: str | None = None) -> ComplexityTable:
-    """Build the complexity table for [1, limit] without ranks.
-
-    When ``out`` is given, the table is persisted there; with
-    ``checkpoint_every`` > 0, partial snapshots land at the same path at
-    every multiple of it below ``limit`` (atomically, newest wins).
-    """
-    return _dp_table(limit, b"\x00\x01", checkpoint_every, out)
-
-
-def resume_dp(
-    checkpoint: str, limit: int, out: str | None = None, checkpoint_every: int = 0
-) -> ComplexityTable:
-    """Continue an interrupted build; the result is bit-identical to a
-    one-shot build of the same limit.
-
-    A limit at or below the stored position returns the truncated prefix
-    without recomputing anything.
-    """
-    return _dp_table(limit, storage.load(checkpoint).complexity, checkpoint_every, out)

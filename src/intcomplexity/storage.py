@@ -87,9 +87,9 @@ def _checksum(*parts) -> int:
     return crc
 
 
-def _byte_sum(payload) -> int:
+def _byte_sum(*parts) -> int:
     """The version 1 checksum: sum of the payload bytes mod 2**64."""
-    return int(np.frombuffer(payload, dtype=np.uint8).sum(dtype=np.uint64)) % 2**64
+    return sum(int(np.frombuffer(p, dtype=np.uint8).sum(dtype=np.uint64)) for p in parts) % 2**64
 
 
 def _atomic_write(path: str, head: bytes, *payload) -> None:
@@ -131,43 +131,46 @@ def save_checkpoint(path: str, limit: int, position: int, prefix) -> None:
 def load(path: str) -> ComplexityTable | Checkpoint:
     """Read a table file; partial files come back as Checkpoint objects."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise TruncatedFileError(f"{path}: shorter than the fixed header")
-    magic, version, limit, flags = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version not in (1, VERSION):
-        raise UnsupportedVersionError(f"{path}: unsupported version {version}")
-    off = _HEADER.size
-    partial = bool(flags & FLAG_PARTIAL)
-    with_ranks = bool(flags & FLAG_RANKS)
-    if partial and with_ranks:
-        raise IcxError(f"{path}: partial files cannot carry a rank section")
-    if limit < 1:
-        raise IcxError(f"{path}: nonsensical limit {limit}")
-    position = limit
-    if partial:
-        if len(blob) < off + 8:
-            raise TruncatedFileError(f"{path}: missing position field")
-        position = _U64.unpack_from(blob, off)[0]
-        off += 8
-        if not 1 <= position <= limit:
-            raise IcxError(f"{path}: position {position} outside [1, {limit}]")
-    section = position
-    expected = off + section * (2 if with_ranks else 1) + 8
-    if len(blob) != expected:
-        raise TruncatedFileError(
-            f"{path}: {len(blob)} bytes, expected {expected}"
-        )
-    payload = blob[off:-8]
-    declared = _U64.unpack_from(blob, len(blob) - 8)[0]
-    if (_checksum if version == VERSION else _byte_sum)(payload) != declared:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise TruncatedFileError(f"{path}: shorter than the fixed header")
+        magic, version, limit, flags = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}")
+        if version not in (1, VERSION):
+            raise UnsupportedVersionError(f"{path}: unsupported version {version}")
+        off = _HEADER.size
+        partial = bool(flags & FLAG_PARTIAL)
+        with_ranks = bool(flags & FLAG_RANKS)
+        if partial and with_ranks:
+            raise IcxError(f"{path}: partial files cannot carry a rank section")
+        if limit < 1:
+            raise IcxError(f"{path}: nonsensical limit {limit}")
+        position = limit
+        if partial:
+            field = fh.read(8)
+            if len(field) < 8:
+                raise TruncatedFileError(f"{path}: missing position field")
+            position = _U64.unpack(field)[0]
+            off += 8
+            if not 1 <= position <= limit:
+                raise IcxError(f"{path}: position {position} outside [1, {limit}]")
+        section = position
+        expected = off + section * (2 if with_ranks else 1) + 8
+        if size != expected:
+            raise TruncatedFileError(f"{path}: {size} bytes, expected {expected}")
+        # one column at a time, so that at most one is held twice
+        comp = b"\x00" + fh.read(section)
+        rank = b"\x00" + fh.read(section) if with_ranks else None
+        tail = fh.read(8)
+    if len(tail) < 8:
+        raise TruncatedFileError(f"{path}: shorter than {expected} bytes while read")
+    payload = [memoryview(c)[1:] for c in (comp, rank) if c is not None]
+    if (_checksum if version == VERSION else _byte_sum)(*payload) != _U64.unpack(tail)[0]:
         raise ChecksumError(f"{path}: checksum mismatch")
-    comp = b"\x00" + payload[:section]
     if partial:
         return Checkpoint(limit=limit, position=position, complexity=comp)
-    rank = b"\x00" + payload[section:] if with_ranks else None
     tag = _TAG_NAMES.get((flags >> _TAG_SHIFT) & 0x3)
     if tag is None:
         raise IcxError(f"{path}: unknown builder tag in flags {flags:#x}")

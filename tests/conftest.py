@@ -1,20 +1,19 @@
 import pytest
 
-from intcomplexity.dp import build_dp
+from intcomplexity.dp import build
 from intcomplexity.enumerator import oracle_table
-from intcomplexity.sieve import build_sieve
 
 DESK_LIMIT = 2_000_000
 
 
 @pytest.fixture(scope="session")
 def sieve_5k():
-    return build_sieve(5000, with_ranks=True)
+    return build(5000, ranks=True)
 
 
 @pytest.fixture(scope="session")
 def sieve_50k():
-    return build_sieve(50_000, with_ranks=True)
+    return build(50_000, ranks=True)
 
 
 @pytest.fixture(scope="session")
@@ -24,13 +23,13 @@ def oracle_5k():
 
 @pytest.fixture(scope="session")
 def dp_5k():
-    return build_dp(5000)
+    return build(5000)
 
 
 @pytest.fixture(scope="session")
 def desk_table():
     """Ranked table at the desk-scale limit (about 1 s to build)."""
-    return build_sieve(DESK_LIMIT, with_ranks=True)
+    return build(DESK_LIMIT, ranks=True)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ import pytest
 from intcomplexity import storage
 from intcomplexity.cli import main
 from intcomplexity.reporting import parse_rows
-from intcomplexity.sieve import build_sieve
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +50,32 @@ def test_usage_errors(capsys, tmp_path):
     assert main(["query", "5"]) == 2  # missing --table
     assert main(["nonsense"]) == 2
     path = str(tmp_path / "x.icx")
-    assert main(["build", "--algo", "dp", "--limit", "100", "--ranks", "--out", path]) == 2
+    # --algo is ignored: with either value a build ranks or checkpoints
+    assert main(["build", "--algo", "dp", "--limit", "100", "--ranks", "--out", path]) == 0
     assert main(["build", "--algo", "sieve", "--limit", "100", "--out", path,
+                 "--checkpoint-every", "10"]) == 0
+
+
+def test_algo_is_ignored(tmp_path):
+    blobs = []
+    for algo in (["--algo", "sieve"], ["--algo", "dp"], []):
+        path = str(tmp_path / f"t{len(blobs)}.icx")
+        assert main(["build", "--limit", "30000", "--out", path, *algo]) == 0
+        blobs.append(open(path, "rb").read())
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_ranks_are_not_checkpointed(tmp_path, capsys):
+    # checkpoints hold complexities only
+    path, ckpt = str(tmp_path / "t.icx"), str(tmp_path / "c.icx")
+    assert main(["build", "--ranks", "--limit", "100", "--out", path,
                  "--checkpoint-every", "10"]) == 2
+    assert "ranks" in capsys.readouterr().err
+    assert not os.path.exists(path)
+    storage.save_checkpoint(ckpt, limit=100, position=5, prefix=bytes([0, 1, 2, 3, 4, 5]))
+    assert main(["resume", "--checkpoint", ckpt, "--limit", "100", "--out", path,
+                 "--ranks"]) == 2
+    assert not os.path.exists(path)
 
 
 def test_oracle_command(capsys):

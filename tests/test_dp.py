@@ -1,8 +1,10 @@
+import os
+
 import pytest
 
 from golden import FIRST_FIFTEEN
 from intcomplexity import storage
-from intcomplexity.dp import build_dp, resume_dp
+from intcomplexity.dp import build
 from intcomplexity.primality import factorize
 from intcomplexity.storage import BadMagicError, Checkpoint, load
 
@@ -35,54 +37,54 @@ def test_least_value_44_is_prime():
 
 
 def test_first_fifteen():
-    t = build_dp(15)
+    t = build(15)
     assert [t.value(n) for n in range(1, 16)] == FIRST_FIFTEEN
-    assert t.algorithm_tag == "dp"
+    assert t.algorithm_tag == "sieve"
     assert not t.has_ranks
 
 
 def test_known_power_values():
-    t = build_dp(16000)
+    t = build(16000)
     assert t.value(15625) == 29  # 5**6
     assert t.value(121) == 15  # 11**2
 
 
 def test_checkpoint_resume_identical(tmp_path, monkeypatch):
-    oneshot = build_dp(30_000)
+    oneshot = build(30_000)
     path = str(tmp_path / "t.icx")
     crash_after(monkeypatch, 2)
     with pytest.raises(Crash):
-        build_dp(30_000, checkpoint_every=4000, out=path)
+        build(30_000, checkpoint_every=4000, out=path)
     monkeypatch.undo()
     on_disk = load(path)
     assert isinstance(on_disk, Checkpoint)
     assert on_disk.position == 8000
-    assert resume_dp(path, 30_000).complexity == oneshot.complexity
+    assert build(30_000, resume=path).complexity == oneshot.complexity
 
 
 def test_resume_from_any_position(tmp_path):
     # positions no block ends at, as older builders wrote them
-    oneshot = build_dp(30_000)
+    oneshot = build(30_000)
     path = str(tmp_path / "t.icx")
     for position in (1, 2, 11_000, 11_111, 29_999):
         storage.save_checkpoint(path, 30_000, position, oneshot.complexity[: position + 1])
-        assert resume_dp(path, 30_000).complexity == oneshot.complexity
+        assert build(30_000, resume=path).complexity == oneshot.complexity
 
 
 def test_periodic_checkpoints(tmp_path, monkeypatch):
     path = str(tmp_path / "t.icx")
     written = crash_after(monkeypatch, None)
-    oneshot = build_dp(100_000, checkpoint_every=10_000, out=path)
+    oneshot = build(100_000, checkpoint_every=10_000, out=path)
     assert written == [10_000 * k for k in range(1, 10)]
     assert load(path).complexity == oneshot.complexity
     monkeypatch.undo()
     written = crash_after(monkeypatch, 4)
     with pytest.raises(Crash):
-        build_dp(100_000, checkpoint_every=10_000, out=path)
+        build(100_000, checkpoint_every=10_000, out=path)
     assert load(path).position == 40_000
     monkeypatch.undo()
     written = crash_after(monkeypatch, None)
-    final = resume_dp(path, 100_000, out=path, checkpoint_every=10_000)
+    final = build(100_000, resume=path, out=path, checkpoint_every=10_000)
     assert written == [10_000 * k for k in range(5, 10)]
     assert final.complexity == oneshot.complexity
     assert load(path).complexity == oneshot.complexity
@@ -92,10 +94,10 @@ def test_resume_truncated_view(tmp_path, monkeypatch):
     path = str(tmp_path / "t.icx")
     crash_after(monkeypatch, 3)
     with pytest.raises(Crash):
-        build_dp(20_000, checkpoint_every=5000, out=path)
+        build(20_000, checkpoint_every=5000, out=path)
     assert load(path).position == 15_000
-    view = resume_dp(path, 10_000)
-    ref = build_dp(10_000)
+    view = build(10_000, resume=path)
+    ref = build(10_000)
     assert view.limit == 10_000
     assert view.complexity == ref.complexity
 
@@ -104,15 +106,32 @@ def test_resume_corrupt_magic(tmp_path, monkeypatch):
     path = str(tmp_path / "t.icx")
     crash_after(monkeypatch, 1)
     with pytest.raises(Crash):
-        build_dp(2000, checkpoint_every=1000, out=path)
+        build(2000, checkpoint_every=1000, out=path)
     blob = bytearray(open(path, "rb").read())
     blob[0] ^= 0xFF
     with open(path, "wb") as fh:
         fh.write(blob)
     with pytest.raises(BadMagicError):
-        resume_dp(path, 2000)
+        build(2000, resume=path)
 
 
 def test_checkpointing_needs_out():
     with pytest.raises(ValueError):
-        build_dp(100, checkpoint_every=10)
+        build(100, checkpoint_every=10)
+
+
+def test_resume_from_smaller_table(tmp_path):
+    oneshot = build(30_000)
+    path = str(tmp_path / "t.icx")
+    for ranks in (False, True):
+        build(10_000, ranks=ranks, out=path)
+        assert build(30_000, resume=path) == oneshot
+
+
+def test_ranks_are_not_checkpointed(tmp_path):
+    path = str(tmp_path / "t.icx")
+    build(1000, out=path)
+    for kwargs in ({"checkpoint_every": 100, "out": str(tmp_path / "c.icx")}, {"resume": path}):
+        with pytest.raises(ValueError, match="ranks"):
+            build(2000, ranks=True, **kwargs)
+    assert not os.path.exists(tmp_path / "c.icx")

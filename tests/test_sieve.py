@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from golden import FIRST_FIFTEEN, LEAST_BY_RANK, LEAST_VALUE
+from golden import CHAIN4_COMPLEXITIES, CHAIN_LONG, FIRST_FIFTEEN, LEAST_BY_RANK, LEAST_VALUE
+from intcomplexity.analysis import chain_scan
 from intcomplexity.cli import main
 from intcomplexity.core import max_expressible
-from intcomplexity.sieve import build_sieve
+from intcomplexity.dp import build
 
 
 def test_first_fifteen():
-    t = build_sieve(15)
+    t = build(15)
     assert [t.value(n) for n in range(1, 16)] == FIRST_FIFTEEN
 
 
 def test_rank_small():
-    t = build_sieve(10, with_ranks=True)
+    t = build(10, ranks=True)
     assert t.rank_of(7) == 3
     assert t.rank_of(1) == 0
     assert [t.rank_of(n) for n in (2, 3, 4, 5)] == [1, 1, 1, 1]
@@ -27,10 +28,10 @@ def test_matches_oracle(sieve_5k, oracle_5k):
 
 
 def test_tiny_limits():
-    assert build_sieve(1).value(1) == 1
-    t = build_sieve(2, with_ranks=True)
+    assert build(1).value(1) == 1
+    t = build(2, ranks=True)
     assert t.value(2) == 2 and t.rank_of(2) == 1
-    t = build_sieve(3)
+    t = build(3)
     assert [t.value(n) for n in (1, 2, 3)] == [1, 2, 3]
 
 
@@ -39,11 +40,11 @@ def test_prefix_of_larger_table(sieve_5k, desk_table):
     # these limits end blocks at many places; each table is a prefix of the
     # larger one
     for limit in (*range(1, 70), 4097, 5000):
-        t = build_sieve(limit, with_ranks=True)
+        t = build(limit, ranks=True)
         assert t.complexity == sieve_5k.complexity[: limit + 1], limit
         assert t.rank == sieve_5k.rank[: limit + 1], limit
     for limit in (2**16 - 1, 2**16 + 1, 2**17 + 2**16 + 5):
-        t = build_sieve(limit, with_ranks=True)
+        t = build(limit, ranks=True)
         assert t.complexity == desk_table.complexity[: limit + 1], limit
         assert t.rank == desk_table.rank[: limit + 1], limit
 
@@ -93,9 +94,23 @@ def test_least_by_rank_match_published(desk_seq):
     assert {r: desk_seq.rank_firsts[r] for r in published} == published
 
 
+def test_chains_match_published(desk_seq):
+    # every reliable k: the chain is 4 long exactly for the published
+    # members, and longer exactly where CHAIN_LONG says
+    covered = desk_seq.reliable_smallest_max
+    lengths = {r.n: r.length for r in chain_scan(desk_seq)}
+    assert sorted(lengths) == list(range(1, covered + 1))
+    assert {k for k, n in lengths.items() if n == 4} == {
+        k for k in CHAIN4_COMPLEXITIES if k <= covered
+    }
+    assert {k: n for k, n in lengths.items() if n > 4} == {
+        k: n for k, n in CHAIN_LONG.items() if k <= covered
+    }
+
+
 def test_configuration_errors(capsys, tmp_path):
     with pytest.raises(ValueError):
-        build_sieve(0)
+        build(0)
     # a table larger than physical memory is refused before any allocation
     out = str(tmp_path / "big.icx")
     for algo in ("sieve", "dp"):

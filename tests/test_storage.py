@@ -1,10 +1,12 @@
+import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from intcomplexity.sieve import build_sieve
+from intcomplexity.dp import build
 from intcomplexity.storage import (
     BadMagicError,
     ChecksumError,
@@ -20,7 +22,7 @@ from intcomplexity.storage import (
 
 @pytest.fixture
 def table():
-    return build_sieve(1000, with_ranks=True)
+    return build(1000, ranks=True)
 
 
 def test_roundtrip_with_ranks(table, tmp_path):
@@ -34,12 +36,27 @@ def test_roundtrip_with_ranks(table, tmp_path):
 
 
 def test_roundtrip_without_ranks(tmp_path):
-    t = build_sieve(500)
+    t = build(500)
     path = str(tmp_path / "t.icx")
     save(t, path)
     got = load_table(path)
     assert got.complexity == t.complexity
     assert got.rank is None
+
+
+def test_load_holds_two_copies(tmp_path):
+    # the file's bytes and the columns; no slice of the payload in between
+    t = build(300_000, ranks=True)
+    path = str(tmp_path / "t.icx")
+    save(t, path)
+    tracemalloc.start()
+    try:
+        got = load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.05 * os.path.getsize(path)
+    assert got == t
 
 
 def test_flipped_payload_byte(table, tmp_path):
@@ -99,11 +116,15 @@ def test_bad_magic(table, tmp_path):
         load(path)
 
 
-def test_truncation(table, tmp_path):
+def test_truncation(table, tmp_path, monkeypatch):
     path = str(tmp_path / "t.icx")
     save(table, path)
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:-5])
+    with pytest.raises(TruncatedFileError):
+        load(path)
+    # cut short after its size was taken: the reads come up short
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (len(blob),) + (0,) * 3))
     with pytest.raises(TruncatedFileError):
         load(path)
 
