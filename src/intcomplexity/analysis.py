@@ -6,12 +6,18 @@ power/prime/defect facts the tables are expected to satisfy, collapse
 and first-operation scans, Cunningham chain detection over the
 least-value sequence, and the least-squares fit of its logarithmic
 growth.
+
+``tight_splits`` is the one enumeration of the splits n = p + q or
+n = p * q with f(p) + f(q) = f(n).  Reconstruction and the
+first-operation classification both read it: ``Reconstructor`` runs one
+height recursion with the operation as its argument, which is a few
+frames per unit of f(n) deep, so it needs no raised recursion limit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +28,6 @@ from .core import (
     FIRST_SUM_NECESSARY,
     addend_bound,
     block_width,
-    defect,
-    hamming_weight,
     log_complexity,
     max_expressible,
     mersenne_upper_bound,
@@ -148,197 +152,122 @@ def derive_sequences(
 
 # -- reconstruction ----------------------------------------------------
 
+_OTHER = {"+": "*", "*": "+"}
+_NODE = {"+": add, "*": mul}
+
+
+def tight_splits(t: ComplexityTable, n: int, op: str) -> list[tuple[int, int]]:
+    """The splits (p, q) of n = p op q with f(p) + f(q) = f(n), p ascending.
+
+    ``*`` gives the divisor pairs with 2 <= p <= sqrt(n); ``+`` gives the
+    addend pairs with 1 <= p <= min(n // 2, addend_bound(n, f(n))), the
+    only smaller addends a shortest sum can use.
+    """
+    c = t.complexity
+    cn = c[n]
+    if op == "*":
+        pairs = ((d, n // d) for d in range(2, math.isqrt(n) + 1) if n % d == 0)
+    else:
+        pairs = ((a, n - a) for a in range(1, min(n // 2, addend_bound(n, cn)) + 1))
+    return [(p, q) for p, q in pairs if c[p] + c[q] == cn]
+
 
 class Reconstructor:
-    """Rebuilds shortest expressions from a finished table.
+    """Rebuilds minimum-height shortest expressions from a finished table.
 
-    The minimum-height policy performs a secondary minimization over all
-    complexity-optimal decompositions (products merge into enclosing
-    products and sums into sums, so part heights compose by maximum).
-    Ties break deterministically: product over sum, then the smallest
-    divisor, then the smallest addend.
+    Every shortest expression of n is an op-node over a tight split of n
+    (see ``tight_splits``), and canonical form merges nested sums into
+    sums and nested products into products, so the height of a node is
+    1 + the height of its tallest piece.  One recursion, with the
+    operation as its argument, minimizes heights:
+
+    - ``root_h(n, op)``: the least height of a shortest op-rooted form;
+    - ``inner_h(n, op)``: the least height of n's pieces inside a flat
+      op node, which is n's own root form of the other operation, or a
+      further op split of n.
+
+    Ties break deterministically: product before sum at the root, a root
+    form before a split inside a node, then the smallest divisor or
+    addend.  Each step moves to a part of strictly smaller complexity or
+    switches the operation once, so the recursion is a few frames per
+    unit of f(n) deep (under 400 at n = 4.8e8).
     """
-
-    _INF = float("inf")
 
     def __init__(self, t: ComplexityTable):
         self.t = t
-        self._c = t.complexity
-        self._pairs: dict[int, list[int]] = {}
-        self._splits: dict[int, list[int]] = {}
-        self._sum_h: dict[int, float] = {}
-        self._prod_h: dict[int, float] = {}
-        self._fh: dict[int, float] = {}
-        self._ah: dict[int, float] = {}
-        self._any: dict[int, ExprTree] = {}
-        if sys.getrecursionlimit() < 50_000:
-            sys.setrecursionlimit(50_000)
+        self._splits: dict[tuple[int, str], list[tuple[int, int]]] = {}
+        self._root: dict[tuple[int, str], float] = {}
+        self._inner: dict[tuple[int, str], float] = {}
 
-    # optimal decompositions ------------------------------------------
-
-    def divisor_splits(self, n: int) -> list[int]:
-        """Divisors d (2 <= d <= sqrt(n)) with additive complexities."""
-        got = self._pairs.get(n)
+    def splits(self, n: int, op: str) -> list[tuple[int, int]]:
+        got = self._splits.get((n, op))
         if got is None:
-            c = self._c
-            cn = c[n]
-            got = [
-                d
-                for d in range(2, math.isqrt(n) + 1)
-                if n % d == 0 and c[d] + c[n // d] == cn
-            ]
-            self._pairs[n] = got
+            got = self._splits[n, op] = tight_splits(self.t, n, op)
         return got
 
-    def addend_splits(self, n: int) -> list[int]:
-        """Smaller addends a with additive complexities, ascending."""
-        got = self._splits.get(n)
-        if got is None:
-            c = self._c
-            cn = c[n]
-            cap = min(n // 2, addend_bound(n, cn)) if n >= 2 else 0
-            got = [a for a in range(1, cap + 1) if c[a] + c[n - a] == cn]
-            self._splits[n] = got
-        return got
+    def _split_h(self, op: str, p: int, q: int) -> float:
+        return max(self.inner_h(p, op), self.inner_h(q, op))
 
-    # minimum-height bookkeeping ---------------------------------------
-
-    def _factor_h(self, e: int) -> float:
-        """Least possible max-height of e's factors inside a flat product."""
-        got = self._fh.get(e)
+    def root_h(self, n: int, op: str) -> float:
+        """Least height of a shortest op-rooted form of n (inf if none)."""
+        got = self._root.get((n, op))
         if got is None:
-            got = self._sum_height(e)
-            for d in self.divisor_splits(e):
-                got = min(got, max(self._factor_h(d), self._factor_h(e // d)))
-            self._fh[e] = got
-        return got
-
-    def _part_h(self, x: int) -> float:
-        """Least possible max-height of x's parts inside a flat sum."""
-        got = self._ah.get(x)
-        if got is None:
-            got = 0.0 if x == 1 else self._prod_height(x)
-            for a in self.addend_splits(x):
-                got = min(got, max(self._part_h(a), self._part_h(x - a)))
-            self._ah[x] = got
-        return got
-
-    def _prod_height(self, n: int) -> float:
-        got = self._prod_h.get(n)
-        if got is None:
-            self._prod_h[n] = got = min(
-                (
-                    1 + max(self._factor_h(d), self._factor_h(n // d))
-                    for d in self.divisor_splits(n)
-                ),
-                default=self._INF,
+            got = self._root[n, op] = 1 + min(
+                (self._split_h(op, p, q) for p, q in self.splits(n, op)), default=math.inf
             )
         return got
 
-    def _sum_height(self, n: int) -> float:
-        got = self._sum_h.get(n)
+    def inner_h(self, n: int, op: str) -> float:
+        """Least max-height of n's pieces inside a flat op node."""
+        if n == 1:
+            return 0.0
+        got = self._inner.get((n, op))
         if got is None:
-            if n == 1:
-                got = self._INF
-            else:
-                got = min(
-                    (
-                        1 + max(self._part_h(a), self._part_h(n - a))
-                        for a in self.addend_splits(n)
-                    ),
-                    default=self._INF,
-                )
-            self._sum_h[n] = got
+            got = self.root_h(n, _OTHER[op])
+            for p, q in self.splits(n, op):
+                got = min(got, self._split_h(op, p, q))
+            self._inner[n, op] = got
         return got
 
     def min_height(self, n: int) -> int:
         """Rank of n computed from the table (no rank column needed)."""
         if n == 1:
             return 0
-        h = min(self._prod_height(n), self._sum_height(n))
+        h = min(self.root_h(n, "*"), self.root_h(n, "+"))
         if math.isinf(h):
             raise AssertionError(f"no optimal decomposition found for {n}; table corrupt?")
         return int(h)
 
-    # tree builders -----------------------------------------------------
+    def _pieces(self, n: int, op: str, h: float) -> list[ExprTree]:
+        """Pieces of the first op split of n whose tallest piece is h high."""
+        for p, q in self.splits(n, op):
+            if self._split_h(op, p, q) == h:
+                return self._inner_pieces(p, op) + self._inner_pieces(q, op)
+        raise AssertionError(f"height bookkeeping inconsistent at {n} ({op})")
 
-    def _factors_min(self, e: int) -> list[ExprTree]:
-        target = self._factor_h(e)
-        if self._sum_height(e) == target:
-            return [self._build_sum(e)]
-        for d in self.divisor_splits(e):
-            if max(self._factor_h(d), self._factor_h(e // d)) == target:
-                return self._factors_min(d) + self._factors_min(e // d)
-        raise AssertionError("factor bookkeeping inconsistent")
-
-    def _parts_min(self, x: int) -> list[ExprTree]:
-        if x == 1:
+    def _inner_pieces(self, n: int, op: str) -> list[ExprTree]:
+        if n == 1:
             return [ONE]
-        target = self._part_h(x)
-        if self._prod_height(x) == target:
-            return [self._build_prod(x)]
-        for a in self.addend_splits(x):
-            if max(self._part_h(a), self._part_h(x - a)) == target:
-                return self._parts_min(a) + self._parts_min(x - a)
-        raise AssertionError("part bookkeeping inconsistent")
+        h = self.inner_h(n, op)
+        if self.root_h(n, _OTHER[op]) == h:
+            return [self.tree(n, _OTHER[op])]
+        return self._pieces(n, op, h)
 
-    def _build_prod(self, n: int) -> ExprTree:
-        target = self._prod_height(n)
-        for d in self.divisor_splits(n):
-            if 1 + max(self._factor_h(d), self._factor_h(n // d)) == target:
-                return mul(self._factors_min(d) + self._factors_min(n // d))
-        raise AssertionError("product bookkeeping inconsistent")
-
-    def _build_sum(self, n: int) -> ExprTree:
-        target = self._sum_height(n)
-        for a in self.addend_splits(n):
-            if 1 + max(self._part_h(a), self._part_h(n - a)) == target:
-                return add(self._parts_min(a) + self._parts_min(n - a))
-        raise AssertionError("sum bookkeeping inconsistent")
+    def tree(self, n: int, op: str) -> ExprTree:
+        """The least-height shortest op-rooted expression of n."""
+        return _NODE[op](self._pieces(n, op, self.root_h(n, op) - 1))
 
     def tree_min_height(self, n: int) -> ExprTree:
         if n == 1:
             return ONE
-        ph, sh = self._prod_height(n), self._sum_height(n)
-        return self._build_prod(n) if ph <= sh else self._build_sum(n)
-
-    def tree_any(self, n: int) -> ExprTree:
-        got = self._any.get(n)
-        if got is not None:
-            return got
-        if n == 1:
-            tree = ONE
-        else:
-            ds = self.divisor_splits(n)
-            if ds:
-                d = ds[0]
-                tree = mul((self.tree_any(d), self.tree_any(n // d)))
-            else:
-                splits = self.addend_splits(n)
-                if not splits:
-                    raise AssertionError(f"no optimal decomposition for {n}; table corrupt?")
-                a = splits[0]
-                tree = add((self.tree_any(a), self.tree_any(n - a)))
-        self._any[n] = tree
-        return tree
+        return self.tree(n, "*" if self.root_h(n, "*") <= self.root_h(n, "+") else "+")
 
 
-def reconstruct(t: ComplexityTable, n: int, policy: str = "any_shortest") -> ExprTree:
-    """A shortest canonical expression for n from the table.
-
-    ``min_height`` additionally minimizes the expression height (the
-    result's height equals the rank of n); ``any_shortest`` follows the
-    deterministic product-first tie-breaking only.
-    """
+def reconstruct(t: ComplexityTable, n: int) -> ExprTree:
+    """A shortest canonical expression for n of least height (the rank of n)."""
     if not 1 <= n <= t.limit:
         raise ValueError(f"n = {n} outside table range [1, {t.limit}]")
-    rec = Reconstructor(t)
-    if policy == "any_shortest":
-        tree = rec.tree_any(n)
-    elif policy == "min_height":
-        tree = rec.tree_min_height(n)
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+    tree = Reconstructor(t).tree_min_height(n)
     if tree.ones != t.value(n):
         raise AssertionError("reconstructed tree does not match the table")
     return tree
@@ -347,45 +276,28 @@ def reconstruct(t: ComplexityTable, n: int, policy: str = "any_shortest") -> Exp
 # -- verification checks ----------------------------------------------
 
 
+# exclusive caps on the exponents (a, b, e) of 2^a 3^b 5^e that each
+# product check walks; None leaves the exponent up to the limit
+_PRODUCT_EXPONENTS = {"pow2": (None, 1, 1), "pow3": (1, None, 1), "pow235": (None, None, 6)}
+
+
 def check_products(t: ComplexityTable, kind: str) -> Report:
-    """Power laws: products of 1+1s / 1+1+1s / mixed 2-3-5 powers."""
+    """Power laws: f(2^a 3^b 5^e) = 2a + 3b + 5e, over the powers of 2
+    (pow2), the powers of 3 (pow3) or all products with e <= 5 (pow235)."""
+    caps = _PRODUCT_EXPONENTS.get(kind)
+    if caps is None:
+        raise ValueError(f"unknown product check {kind!r}")
     c = t.complexity
-    limit = t.limit
+    top = t.limit.bit_length()  # 2^a <= limit for every a < top
     counterexamples: list[dict] = []
     checked = 0
-    if kind == "pow2":
-        a = 1
-        while 2**a <= limit:
+    for a, b, e in itertools.product(*(range(top if cap is None else cap) for cap in caps)):
+        n = 2**a * 3**b * 5**e
+        if 1 < n <= t.limit:
             checked += 1
-            if c[2**a] != 2 * a:
-                counterexamples.append({"n": 2**a, "expected": 2 * a, "actual": c[2**a]})
-            a += 1
-    elif kind == "pow3":
-        b = 1
-        while 3**b <= limit:
-            checked += 1
-            if c[3**b] != 3 * b:
-                counterexamples.append({"n": 3**b, "expected": 3 * b, "actual": c[3**b]})
-            b += 1
-    elif kind == "pow235":
-        a = 0
-        while 2**a <= limit:
-            b = 0
-            while 2**a * 3**b <= limit:
-                for cc in range(0, 6):
-                    n = 2**a * 3**b * 5**cc
-                    if n > limit:
-                        break
-                    if a + b + cc == 0:
-                        continue
-                    checked += 1
-                    want = 2 * a + 3 * b + 5 * cc
-                    if c[n] != want:
-                        counterexamples.append({"n": n, "expected": want, "actual": c[n]})
-                b += 1
-            a += 1
-    else:
-        raise ValueError(f"unknown product check {kind!r}")
+            want = 2 * a + 3 * b + 5 * e
+            if c[n] != want:
+                counterexamples.append({"n": n, "expected": want, "actual": c[n]})
     return Report(
         name=f"products-{kind}",
         passed=not counterexamples,
@@ -582,19 +494,9 @@ class FirstOpRecord:
 def classify_first_operation(t: ComplexityTable, n: int) -> FirstOpRecord:
     if not 2 <= n <= t.limit:
         raise ValueError(f"n = {n} outside classification range [2, {t.limit}]")
-    c = t.complexity
-    cn = c[n]
-    has_product = False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0 and c[d] + c[n // d] == cn:
-            has_product = True
-            break
-    minimal = None
-    cap = min(n // 2, addend_bound(n, cn))
-    for a in range(1, cap + 1):
-        if c[a] + c[n - a] == cn:
-            minimal = a
-            break
+    has_product = bool(tight_splits(t, n, "*"))
+    sums = tight_splits(t, n, "+")
+    minimal = sums[0][0] if sums else None
     if has_product:
         cls = "product"
     elif minimal == 1:

@@ -34,10 +34,6 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=reporting.FORMATS, default="text")
 
 
-def _load(path: str):
-    return storage.load_table(path)
-
-
 # failures reported as "error: ..." with exit code 2
 ERRORS = (ValueError, storage.IcxError, OSError, RuntimeError)
 
@@ -68,7 +64,7 @@ def query_rows(table, args):
 
 
 def _cmd_query(args) -> int:
-    headers, rows = query_rows(_load(args.table), args)
+    headers, rows = query_rows(storage.load_table(args.table), args)
     if args.format == "text":
         _, c, r = rows[0]
         print(f"complexity {c}, rank {r}")
@@ -114,7 +110,7 @@ def seq_rows(seq: analysis.SequenceSet, args):
 
 
 def _cmd_seq(args) -> int:
-    headers, rows = seq_rows(analysis.derive_sequences(_load(args.table)), args)
+    headers, rows = seq_rows(analysis.derive_sequences(storage.load_table(args.table)), args)
     sys.stdout.write(emit_rows(headers, rows, args.format))
     return 0
 
@@ -146,7 +142,7 @@ def verify_reports(table, args) -> list[reporting.Report]:
 
 
 def _cmd_verify(args) -> int:
-    reports = verify_reports(_load(args.table), args)
+    reports = verify_reports(storage.load_table(args.table), args)
     fmt = "json" if args.format == "json" else "text"
     for report in reports:
         sys.stdout.write(emit_report(report, fmt))
@@ -162,7 +158,7 @@ def collapse_rows(table, args):
 
 
 def _cmd_collapse(args) -> int:
-    headers, rows = collapse_rows(_load(args.table), args)
+    headers, rows = collapse_rows(storage.load_table(args.table), args)
     sys.stdout.write(emit_rows(headers, rows, args.format))
     return 0
 
@@ -177,7 +173,7 @@ def chains_rows(seq: analysis.SequenceSet, args):
 
 
 def _cmd_chains(args) -> int:
-    seq = analysis.derive_sequences(_load(args.table), include_rank_sequence=False)
+    seq = analysis.derive_sequences(storage.load_table(args.table), include_rank_sequence=False)
     headers, rows = chains_rows(seq, args)
     sys.stdout.write(emit_rows(headers, rows, args.format))
     if args.format == "text" and rows:
@@ -196,7 +192,7 @@ def firstop_rows(table, args):
 
 
 def _cmd_firstop(args) -> int:
-    table = _load(args.table)
+    table = storage.load_table(args.table)
     headers, rows = firstop_rows(table, args)
     sys.stdout.write(emit_rows(headers, rows, args.format))
     if args.format == "text":
@@ -214,7 +210,7 @@ def fit_e_rows(seq: analysis.SequenceSet, args):
 
 
 def _cmd_fit_e(args) -> int:
-    seq = analysis.derive_sequences(_load(args.table), include_rank_sequence=False)
+    seq = analysis.derive_sequences(storage.load_table(args.table), include_rank_sequence=False)
     headers, rows = fit_e_rows(seq, args)
     if args.format == "text":
         # every row carries the slope and intercept; the fit spans k = first..last row
@@ -233,19 +229,19 @@ def top_log_rows(table, args):
 
 
 def _cmd_top_log(args) -> int:
-    headers, rows = top_log_rows(_load(args.table), args)
+    headers, rows = top_log_rows(storage.load_table(args.table), args)
     sys.stdout.write(emit_rows(headers, rows, args.format))
     return 0
 
 
 def expr_rows(table, args):
-    tree = analysis.reconstruct(table, args.n, policy="min_height")
+    tree = analysis.reconstruct(table, args.n)
     return (["n", "ones", "height", "infix", "postfix"],
             [[args.n, tree.ones, tree.height, infix(tree), postfix_emit(tree)]])
 
 
 def _cmd_expr(args) -> int:
-    headers, rows = expr_rows(_load(args.table), args)
+    headers, rows = expr_rows(storage.load_table(args.table), args)
     if args.format == "text":
         n, ones, height, infix_text, postfix_text = rows[0]
         print(f"n {n}: ones {ones}, height {height}")

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .primality import factorize
+
 LN3 = math.log(3.0)
 
 ALGORITHM_TAGS = ("sieve", "dp", "oracle")
@@ -101,17 +103,7 @@ def integer_logarithm(n: int) -> int:
     of the flat product-of-sums expression for n."""
     if n < 2:
         raise ValueError(f"integer_logarithm requires n >= 2, got {n}")
-    total = 0
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            total += d
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        total += m
-    return total
+    return sum(factorize(n))
 
 
 def log_complexity(n: int, c: int) -> float:
@@ -195,8 +187,10 @@ class ComplexityTable:
     """Densely packed complexity values for n = 1..limit.
 
     ``complexity`` (and ``rank`` when present) are byte strings of length
-    limit + 1 with index 0 unused, so the value for n sits at index n.
-    Immutable after construction; safe to share between threads.
+    limit + 1 with index 0 unused, so the value for n sits at index n;
+    ``storage.load`` gives read-only memoryviews, which compare equal to
+    the same bytes.  Immutable after construction; safe to share between
+    threads.
     """
 
     limit: int

@@ -128,6 +128,14 @@ def save_checkpoint(path: str, limit: int, position: int, prefix) -> None:
     _atomic_write(path, head, memoryview(prefix)[1:])
 
 
+def _read_column(fh, section: int) -> memoryview:
+    """The next ``section`` bytes of fh behind an unused index 0, read
+    straight into one buffer and returned as a read-only view of it."""
+    buf = bytearray(section + 1)
+    fh.readinto(memoryview(buf)[1:])
+    return memoryview(buf).toreadonly()
+
+
 def load(path: str) -> ComplexityTable | Checkpoint:
     """Read a table file; partial files come back as Checkpoint objects."""
     with open(path, "rb") as fh:
@@ -160,13 +168,14 @@ def load(path: str) -> ComplexityTable | Checkpoint:
         expected = off + section * (2 if with_ranks else 1) + 8
         if size != expected:
             raise TruncatedFileError(f"{path}: {size} bytes, expected {expected}")
-        # one column at a time, so that at most one is held twice
-        comp = b"\x00" + fh.read(section)
-        rank = b"\x00" + fh.read(section) if with_ranks else None
+        comp = _read_column(fh, section)
+        rank = _read_column(fh, section) if with_ranks else None
         tail = fh.read(8)
+    # readinto fills a column unless the file ends, so a short column
+    # leaves the tail short too
     if len(tail) < 8:
         raise TruncatedFileError(f"{path}: shorter than {expected} bytes while read")
-    payload = [memoryview(c)[1:] for c in (comp, rank) if c is not None]
+    payload = [c[1:] for c in (comp, rank) if c is not None]
     if (_checksum if version == VERSION else _byte_sum)(*payload) != _U64.unpack(tail)[0]:
         raise ChecksumError(f"{path}: checksum mismatch")
     if partial:

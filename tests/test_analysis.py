@@ -1,13 +1,17 @@
+import argparse
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from golden import COLLAPSE_POWER, COMPOSITE_LEAST, MERSENNE_EXCESS, TOP_LOG
 from intcomplexity import analysis as an
-from intcomplexity.core import LN3, ComplexityTable, max_expressible, second_max_expressible
-from intcomplexity.expr import ONE, infix
+from intcomplexity import cli
+from intcomplexity.core import LN3, ComplexityTable, defect, max_expressible, second_max_expressible
+from intcomplexity.enumerator import oracle_complexity
+from intcomplexity.expr import ONE, infix, postfix_emit
 from intcomplexity.primality import is_prime, primes_up_to
 
 
@@ -85,17 +89,42 @@ def test_reconstruct_examples(sieve_50k):
     t = an.reconstruct(sieve_50k, 10)
     assert t.value == 10 and t.ones == 7
     assert an.reconstruct(sieve_50k, 1) is ONE
-    t = an.reconstruct(sieve_50k, 14, policy="min_height")
+    t = an.reconstruct(sieve_50k, 14)
     assert t.ones == 8 and t.height == 4
 
 
 def test_reconstruct_consistency(sieve_50k):
+    limit = sys.getrecursionlimit()
     rec = an.Reconstructor(sieve_50k)
     for n in range(1, 501):
-        assert rec.tree_any(n).ones == sieve_50k.value(n)
         mh = rec.tree_min_height(n)
         assert mh.ones == sieve_50k.value(n)
         assert mh.height == sieve_50k.rank_of(n) == rec.min_height(n)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_reconstruct_at_default_recursion_limit(desk_table):
+    # the recursion is a few frames per unit of f(n) deep
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for n in range(desk_table.limit - 4, desk_table.limit + 1):
+            _, rows = cli.expr_rows(desk_table, argparse.Namespace(n=n))
+            _, ones, height, infix_text, postfix_text = rows[0]
+            assert ones == desk_table.value(n) and height == desk_table.rank_of(n)
+            assert infix_text and postfix_text
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_min_height_trees_are_oracle_trees(sieve_5k):
+    # the tie-breaks pick one of the oracle's shortest trees, of least height
+    rec = an.Reconstructor(sieve_5k)
+    for n in range(1, 301):
+        res = oracle_complexity(n)
+        tree = rec.tree_min_height(n)
+        assert tree in res.shortest, (n, infix(tree), postfix_emit(tree))
+        assert tree.height == res.min_height, n
 
 
 def test_reconstruct_errors(sieve_50k):
@@ -103,8 +132,6 @@ def test_reconstruct_errors(sieve_50k):
         an.reconstruct(sieve_50k, 0)
     with pytest.raises(ValueError):
         an.reconstruct(sieve_50k, 50_001)
-    with pytest.raises(ValueError):
-        an.reconstruct(sieve_50k, 5, policy="wat")
 
 
 # -- verification checks ---------------------------------------------------
@@ -153,7 +180,7 @@ def test_defect_rank(sieve_50k):
 
 
 def test_defect_rank_example_values(sieve_50k):
-    d = an.defect(1439, sieve_50k.value(1439))
+    d = defect(1439, sieve_50k.value(1439))
     rhs = ((sieve_50k.rank_of(1439) - 1) // 2) * an._DEFECT_RANK_COEF
     assert d == pytest.approx(6.14, abs=0.01)
     assert rhs == pytest.approx(2.32, abs=0.01)

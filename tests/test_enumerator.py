@@ -6,7 +6,7 @@ from intcomplexity.enumerator import (
     oracle_complexity,
     oracle_table,
 )
-from intcomplexity.expr import ONE, add, canonicalize, infix, mul, postfix_emit
+from intcomplexity.expr import ONE, add, canonicalize, mul, postfix_emit
 
 
 def test_one():
