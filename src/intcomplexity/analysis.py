@@ -80,39 +80,39 @@ class SequenceSet:
         return {k: v for k, v in self.smallest.items() if k <= self.reliable_smallest_max}
 
 
-def derive_sequences(
-    t: ComplexityTable, include_rank_sequence: bool | None = None
-) -> SequenceSet:
-    """Single-scan extraction of the derived sequences from a table."""
-    if include_rank_sequence is None:
-        include_rank_sequence = t.has_ranks
-    if include_rank_sequence and not t.has_ranks:
-        raise ValueError("rank sequence requested but the table has no ranks")
+def _value_masks(col: np.ndarray):
+    """(k, col == k, index of the first k) for each value k that col holds,
+    ascending.  No sort: one 1 B/entry mask, refilled for each k."""
+    mask = np.empty(len(col), dtype=bool)
+    for k in range(int(col.max()) + 1):
+        np.equal(col, k, out=mask)
+        i = int(mask.argmax())
+        if mask[i]:
+            yield k, mask, i
 
+
+def derive_sequences(t: ComplexityTable) -> SequenceSet:
+    """The derived sequences of a table, from one mask per value; the rank
+    sequence comes with the table's ranks."""
     c = _comp_array(t)[1:]  # complexity of n = i + 1
-    firsts_idx = np.unique(c, return_index=True)
-    smallest = {int(k): int(i) + 1 for k, i in zip(*firsts_idx)}
-    rev = c[::-1]
-    lasts_idx = np.unique(rev, return_index=True)
-    largest = {int(k): t.limit - int(i) for k, i in zip(*lasts_idx)}
+    smallest: dict[int, int] = {}
+    largest: dict[int, int] = {}
+    second_exact: dict[int, int] = {}  # second-greatest n with complexity exactly k
+    for k, mask, i in _value_masks(c):
+        smallest[k] = i + 1
+        back = mask[::-1]  # back[j] is n = limit - j
+        j = int(back.argmax())
+        largest[k] = t.limit - j
+        back[j] = False
+        j = int(back.argmax())
+        if back[j]:
+            second_exact[k] = t.limit - j
 
     # second-greatest value with complexity <= k: merge per-k exact tops
     top2: dict[int, int] = {}
-    second_exact: dict[int, int] = {}
-    kmax = int(c.max())
-    lut = np.zeros(kmax + 1, dtype=np.int64)
-    for k, v in largest.items():
-        lut[k] = v
-    rev_pos = t.limit - np.arange(len(rev))
-    mask = rev_pos != lut[rev]
-    rev2 = rev[mask]
-    if len(rev2):
-        for k, i in zip(*np.unique(rev2, return_index=True)):
-            second_exact[int(k)] = int(rev_pos[mask][i])
     best1 = best2 = 0
-    for k in range(1, kmax + 1):
-        cands = [v for v in (largest.get(k), second_exact.get(k)) if v is not None]
-        for v in cands:
+    for k in range(1, max(largest) + 1):
+        for v in (largest.get(k, 0), second_exact.get(k, 0)):  # 0: no such n
             if v > best1:
                 best1, best2 = v, best1
             elif v > best2:
@@ -122,10 +122,8 @@ def derive_sequences(
 
     rank_firsts = None
     reliable_rank_max = None
-    if include_rank_sequence:
-        r = _rank_array(t)[1:]
-        pairs = np.unique(r, return_index=True)
-        rank_firsts = {int(k): int(i) + 1 for k, i in zip(*pairs)}
+    if t.has_ranks:
+        rank_firsts = {k: i + 1 for k, _, i in _value_masks(_rank_array(t)[1:])}
         reliable_rank_max = 0
         while rank_firsts.get(reliable_rank_max + 1) is not None:
             reliable_rank_max += 1
@@ -521,17 +519,14 @@ def first_operation_scan(t: ComplexityTable) -> list[FirstOpRecord]:
     classifying every n with f(n) != f(n-1) + 1.  Empty at any limit below
     the first sum-necessary number.
     """
-    c = _comp_array(t)
-    # f(d) + f(n/d) <= 3*log2(n) < 256 in a valid table; widen a table
-    # holding larger values so that the sums cannot wrap
-    wide = c if c.max() <= 127 else c.astype(np.int16)
+    c = _comp_array(t)  # at most 127 (see ComplexityTable), so no sum wraps
     width = block_width(t.limit)
     out = []
     for lo in range(2, t.limit + 1, width):
         hi = min(lo + width, t.limit + 1)
         survivors = c[lo:hi] != c[lo - 1 : hi - 1] + 1
         for d, tgt, cof in product_slices(lo, hi):
-            survivors[tgt] &= wide[cof] + wide[d] != wide[lo:hi][tgt]
+            survivors[tgt] &= c[cof] + c[d] != c[lo:hi][tgt]
         for n in np.flatnonzero(survivors) + lo:
             rec = classify_first_operation(t, int(n))
             if rec.classification not in ("product", "sub1"):

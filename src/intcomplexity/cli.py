@@ -5,17 +5,21 @@ chains, firstop, fit-e, top-log, expr.  Exit codes: 0 success (and
 every checked fact holds in range), 1 a verification found
 counterexamples, 2 usage or configuration error.
 
-``build`` and ``resume`` are one call each to ``dp.build``.  Each
-table-reading subcommand is a function from the table (for seq,
-chains and fit-e, from its ``SequenceSet``) and the parsed arguments to
-headers and rows (for verify, to reports), and a ``_cmd_*`` wrapper that
-loads the table and emits them; ``scripts/run_desk_scale.py`` calls the
-functions on one loaded table.
+``build`` and ``resume`` are one call each to ``dp.build``.  Every
+table-reading subcommand takes one path in two steps: ``report`` runs its
+analysis on a loaded table and returns headers and rows (for verify, the
+reports), deriving the ``SequenceSet`` only for seq, chains and fit-e
+and only when none is passed; ``render`` turns that result into the
+exact text printed for a format, and the exit code.
+``scripts/run_desk_scale.py`` calls ``report`` once per subcommand on
+one loaded table and ``render`` once per format, so its files are what
+the subcommands print.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import analysis, reporting, storage
@@ -28,11 +32,6 @@ from .reporting import emit_report, emit_rows, fmt_real
 # cli.build_sieve and sieve.build_sieve (ranked builds) and cli.build_dp
 # (the others).  All three are deleted with ROADMAP item 1.
 build_sieve = build_dp = build
-
-
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=reporting.FORMATS, default="text")
-
 
 # failures reported as "error: ..." with exit code 2
 ERRORS = (ValueError, storage.IcxError, OSError, RuntimeError)
@@ -53,26 +52,6 @@ def _cmd_resume(args) -> int:
     return 0
 
 
-def query_rows(table, args):
-    n = args.n
-    c = table.value(n)
-    if table.has_ranks:
-        r = table.rank_of(n)
-    else:
-        r = analysis.Reconstructor(table).min_height(n)
-    return ["n", "complexity", "rank"], [[n, c, r]]
-
-
-def _cmd_query(args) -> int:
-    headers, rows = query_rows(storage.load_table(args.table), args)
-    if args.format == "text":
-        _, c, r = rows[0]
-        print(f"complexity {c}, rank {r}")
-    else:
-        sys.stdout.write(emit_rows(headers, rows, args.format))
-    return 0
-
-
 def _cmd_oracle(args) -> int:
     res = oracle_complexity(args.n, ones_cap=args.max_ones)
     picks = res.shortest if args.all else [min(res.shortest, key=lambda t: (t.height, t.sort_key()))]
@@ -90,29 +69,34 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _record_rows(cls, recs):
+    """Headers from the fields of a record dataclass, one row per record."""
+    headers = [f.name for f in dataclasses.fields(cls)]
+    return headers, [[getattr(r, h) for h in headers] for r in recs]
+
+
+def query_rows(table, args):
+    n = args.n
+    c = table.value(n)  # range check before any rank reconstruction
+    if table.has_ranks:
+        r = table.rank_of(n)
+    else:
+        r = analysis.Reconstructor(table).min_height(n)
+    return ["n", "complexity", "rank"], [[n, c, r]]
+
+
 def seq_rows(seq: analysis.SequenceSet, args):
     headers = ["sequence", "k", "value", "reliable", "limit", "algorithm"]
     rows: list[list] = []
-    for k in sorted(seq.smallest):
-        rows.append(["smallest", k, seq.smallest[k], k <= seq.reliable_smallest_max,
-                     seq.limit, seq.algorithm_tag])
-    for k in sorted(seq.largest):
-        rows.append(["largest", k, seq.largest[k], k <= seq.reliable_largest_max,
-                     seq.limit, seq.algorithm_tag])
-    for k in sorted(seq.second_largest):
-        rows.append(["second_largest", k, seq.second_largest[k], k <= seq.reliable_largest_max,
-                     seq.limit, seq.algorithm_tag])
-    if seq.rank_firsts is not None:
-        for k in sorted(seq.rank_firsts):
-            rows.append(["rank_first", k, seq.rank_firsts[k],
-                         k <= (seq.reliable_rank_max or 0), seq.limit, seq.algorithm_tag])
+    for name, values, reliable in (
+        ("smallest", seq.smallest, seq.reliable_smallest_max),
+        ("largest", seq.largest, seq.reliable_largest_max),
+        ("second_largest", seq.second_largest, seq.reliable_largest_max),
+        ("rank_first", seq.rank_firsts or {}, seq.reliable_rank_max or 0),
+    ):
+        for k in sorted(values):
+            rows.append([name, k, values[k], k <= reliable, seq.limit, seq.algorithm_tag])
     return headers, rows
-
-
-def _cmd_seq(args) -> int:
-    headers, rows = seq_rows(analysis.derive_sequences(storage.load_table(args.table)), args)
-    sys.stdout.write(emit_rows(headers, rows, args.format))
-    return 0
 
 
 _VERIFY_KINDS = ("pow2", "pow3", "pow235", "pow2plus1", "prime-plus1", "mersenne", "defect-rank")
@@ -136,31 +120,13 @@ def _run_verify(table, kind: str) -> reporting.Report:
 
 def verify_reports(table, args) -> list[reporting.Report]:
     kinds = list(_VERIFY_KINDS) if args.kind == "all" else [args.kind]
-    if not table.has_ranks and "defect-rank" in kinds and args.kind == "all":
+    if not table.has_ranks and args.kind == "all":
         kinds.remove("defect-rank")
     return [_run_verify(table, kind) for kind in kinds]
 
 
-def _cmd_verify(args) -> int:
-    reports = verify_reports(storage.load_table(args.table), args)
-    fmt = "json" if args.format == "json" else "text"
-    for report in reports:
-        sys.stdout.write(emit_report(report, fmt))
-    return 0 if all(report.passed for report in reports) else 1
-
-
 def collapse_rows(table, args):
-    recs = analysis.collapse_scan(table, args.primes_below)
-    headers = ["p", "collapses_at", "checked_up_to", "complexity", "rank", "log_complexity"]
-    rows = [[r.p, r.collapses_at, r.checked_up_to, r.complexity, r.rank, r.log_complexity]
-            for r in recs]
-    return headers, rows
-
-
-def _cmd_collapse(args) -> int:
-    headers, rows = collapse_rows(storage.load_table(args.table), args)
-    sys.stdout.write(emit_rows(headers, rows, args.format))
-    return 0
+    return _record_rows(analysis.CollapseRecord, analysis.collapse_scan(table, args.primes_below))
 
 
 def chains_rows(seq: analysis.SequenceSet, args):
@@ -172,32 +138,8 @@ def chains_rows(seq: analysis.SequenceSet, args):
     return headers, rows
 
 
-def _cmd_chains(args) -> int:
-    seq = analysis.derive_sequences(storage.load_table(args.table), include_rank_sequence=False)
-    headers, rows = chains_rows(seq, args)
-    sys.stdout.write(emit_rows(headers, rows, args.format))
-    if args.format == "text" and rows:
-        for col, label in ((5, "(e-1)/2"), (6, "(e-2)/3"), (7, "(e-3)/4")):
-            hits = sum(1 for row in rows if row[col])
-            print(f"{label} prime for {hits}/{len(rows)} reliable entries")
-    return 0
-
-
 def firstop_rows(table, args):
-    recs = analysis.first_operation_scan(table)
-    headers = ["n", "has_product_decomposition", "minimal_addend", "classification"]
-    rows = [[r.n, r.has_product_decomposition, r.minimal_addend, r.classification]
-            for r in recs]
-    return headers, rows
-
-
-def _cmd_firstop(args) -> int:
-    table = storage.load_table(args.table)
-    headers, rows = firstop_rows(table, args)
-    sys.stdout.write(emit_rows(headers, rows, args.format))
-    if args.format == "text":
-        print(f"{len(rows)} forced-subtraction number(s) at limit {table.limit}")
-    return 0
+    return _record_rows(analysis.FirstOpRecord, analysis.first_operation_scan(table))
 
 
 def fit_e_rows(seq: analysis.SequenceSet, args):
@@ -209,29 +151,8 @@ def fit_e_rows(seq: analysis.SequenceSet, args):
     return headers, rows
 
 
-def _cmd_fit_e(args) -> int:
-    seq = analysis.derive_sequences(storage.load_table(args.table), include_rank_sequence=False)
-    headers, rows = fit_e_rows(seq, args)
-    if args.format == "text":
-        # every row carries the slope and intercept; the fit spans k = first..last row
-        slope, intercept = rows[0][4], rows[0][5]
-        print(f"slope {fmt_real(slope)}, intercept {fmt_real(intercept)}, "
-              f"range {rows[0][0]}..{rows[-1][0]}")
-    sys.stdout.write(emit_rows(headers, rows, args.format))
-    return 0
-
-
 def top_log_rows(table, args):
-    entries = analysis.top_log_complexity(table, args.count)
-    headers = ["n", "complexity", "log_complexity", "rank", "unique"]
-    rows = [[e.n, e.complexity, e.log_complexity, e.rank, e.unique] for e in entries]
-    return headers, rows
-
-
-def _cmd_top_log(args) -> int:
-    headers, rows = top_log_rows(storage.load_table(args.table), args)
-    sys.stdout.write(emit_rows(headers, rows, args.format))
-    return 0
+    return _record_rows(analysis.TopLogEntry, analysis.top_log_complexity(table, args.count))
 
 
 def expr_rows(table, args):
@@ -240,16 +161,105 @@ def expr_rows(table, args):
             [[args.n, tree.ones, tree.height, infix(tree), postfix_emit(tree)]])
 
 
-def _cmd_expr(args) -> int:
-    headers, rows = expr_rows(storage.load_table(args.table), args)
-    if args.format == "text":
-        n, ones, height, infix_text, postfix_text = rows[0]
-        print(f"n {n}: ones {ones}, height {height}")
-        print(f"  {infix_text}")
-        print(f"  {postfix_text}")
-    else:
-        sys.stdout.write(emit_rows(headers, rows, args.format))
-    return 0
+# subcommand -> its rows function, and whether that reads the SequenceSet
+_ROWS = {
+    "query": (query_rows, False),
+    "seq": (seq_rows, True),
+    "verify": (verify_reports, False),
+    "collapse": (collapse_rows, False),
+    "chains": (chains_rows, True),
+    "firstop": (firstop_rows, False),
+    "fit-e": (fit_e_rows, True),
+    "top-log": (top_log_rows, False),
+    "expr": (expr_rows, False),
+}
+
+
+def report(table, args, seq: analysis.SequenceSet | None = None):
+    """Headers and rows of a table-reading subcommand (for verify, its
+    reports); ``seq`` is derived from the table if the subcommand reads
+    one and none is passed."""
+    rows, reads_seq = _ROWS[args.command]
+    if reads_seq:
+        return rows(seq or analysis.derive_sequences(table), args)
+    return rows(table, args)
+
+
+def _chains_text(table, rows):
+    return [f"{label} prime for {sum(1 for row in rows if row[col])}/{len(rows)} reliable entries"
+            for col, label in ((5, "(e-1)/2"), (6, "(e-2)/3"), (7, "(e-3)/4")) if rows]
+
+
+def _fit_e_text(table, rows):
+    # every row carries the slope and intercept; the fit spans k = first..last row
+    return [f"slope {fmt_real(rows[0][4])}, intercept {fmt_real(rows[0][5])}, "
+            f"range {rows[0][0]}..{rows[-1][0]}"]
+
+
+# text format only: lines that replace the table, or go before or after it
+_TEXT = {
+    "query": ("replace", lambda table, rows: [f"complexity {rows[0][1]}, rank {rows[0][2]}"]),
+    "expr": ("replace", lambda table, rows: [
+        f"n {rows[0][0]}: ones {rows[0][1]}, height {rows[0][2]}",
+        f"  {rows[0][3]}", f"  {rows[0][4]}"]),
+    "chains": ("after", _chains_text),
+    "firstop": ("after", lambda table, rows: [
+        f"{len(rows)} forced-subtraction number(s) at limit {table.limit}"]),
+    "fit-e": ("before", _fit_e_text),
+}
+
+
+def render(table, args, result, fmt: str) -> tuple[str, int]:
+    """The text printed for ``report``'s result in a format, and the exit code."""
+    if args.command == "verify":
+        text = "".join(emit_report(r, "json" if fmt == "json" else "text") for r in result)
+        return text, 0 if all(r.passed for r in result) else 1
+    place, lines = _TEXT.get(args.command, (None, None)) if fmt == "text" else (None, None)
+    extra = "".join(line + "\n" for line in lines(table, result[1])) if lines else ""
+    body = "" if place == "replace" else emit_rows(*result, fmt)
+    return (body + extra if place == "after" else extra + body), 0
+
+
+def _cmd_table(args) -> int:
+    table = storage.load_table(args.table)
+    text, code = render(table, args, report(table, args), args.format)
+    sys.stdout.write(text)
+    return code
+
+
+_N = ("n", {"type": int})
+_TABLE = ("--table", {"required": True})
+_FORMAT = ("--format", {"choices": reporting.FORMATS, "default": "text"})
+_LIMIT = ("--limit", {"type": int, "required": True})
+_OUT = ("--out", {"required": True})
+_EVERY = ("--checkpoint-every", {"type": int, "default": 0})
+
+# name, help and arguments of every subcommand, in --help order
+_SUBCOMMANDS = [
+    ("build", "build and persist a complexity table", [
+        # ignored, since one builder makes every table; accepted because the
+        # benchmark still passes --algo dp, until ROADMAP item 1
+        ("--algo", {"choices": ("sieve", "dp"), "help": argparse.SUPPRESS}),
+        _LIMIT, ("--ranks", {"action": "store_true"}), _OUT, _EVERY]),
+    ("resume", "finish an interrupted build from its checkpoint",
+     [("--checkpoint", {"required": True}), _LIMIT, _OUT, _EVERY]),
+    ("query", "complexity and rank of one value", [_N, _TABLE, _FORMAT]),
+    ("oracle", "exhaustive shortest-expression search",
+     [_N, ("--max-ones", {"type": int, "default": None}), ("--all", {"action": "store_true"}),
+      _FORMAT]),
+    ("seq", "derived sequences of a table", [_TABLE, _FORMAT]),
+    ("verify", "check table facts; exit 1 on counterexamples",
+     [("kind", {"choices": _VERIFY_KINDS + ("all",)}), _TABLE, _FORMAT]),
+    ("collapse", "prime power collapse scan",
+     [_TABLE, ("--primes-below", {"type": int, "default": 1000}), _FORMAT]),
+    ("chains", "doubling chains behind least values", [_TABLE, _FORMAT]),
+    ("firstop", "forced first-subtraction scan", [_TABLE, _FORMAT]),
+    ("fit-e", "least-squares growth of least values", [_TABLE, _FORMAT]),
+    ("top-log", "largest logarithmic complexities",
+     [_TABLE, ("--count", {"type": int, "default": 16}), _FORMAT]),
+    ("expr", "reconstruct a minimum-height shortest expression", [_N, _TABLE, _FORMAT]),
+]
+_COMMANDS = {"build": _cmd_build, "resume": _cmd_resume, "oracle": _cmd_oracle}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,81 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="integer complexity tables and desk-scale analyses",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="build and persist a complexity table")
-    # ignored, since one builder makes every table; accepted because the
-    # benchmark still passes --algo dp, until ROADMAP item 1
-    p.add_argument("--algo", choices=("sieve", "dp"), help=argparse.SUPPRESS)
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--ranks", action="store_true")
-    p.add_argument("--out", required=True)
-    p.add_argument("--checkpoint-every", type=int, default=0)
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("resume", help="finish an interrupted build from its checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--checkpoint-every", type=int, default=0)
-    p.set_defaults(func=_cmd_resume)
-
-    p = sub.add_parser("query", help="complexity and rank of one value")
-    p.add_argument("n", type=int)
-    p.add_argument("--table", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_query)
-
-    p = sub.add_parser("oracle", help="exhaustive shortest-expression search")
-    p.add_argument("n", type=int)
-    p.add_argument("--max-ones", type=int, default=None)
-    p.add_argument("--all", action="store_true")
-    _add_format(p)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("seq", help="derived sequences of a table")
-    p.add_argument("--table", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_seq)
-
-    p = sub.add_parser("verify", help="check table facts; exit 1 on counterexamples")
-    p.add_argument("kind", choices=_VERIFY_KINDS + ("all",))
-    p.add_argument("--table", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("collapse", help="prime power collapse scan")
-    p.add_argument("--table", required=True)
-    p.add_argument("--primes-below", type=int, default=1000)
-    _add_format(p)
-    p.set_defaults(func=_cmd_collapse)
-
-    p = sub.add_parser("chains", help="doubling chains behind least values")
-    p.add_argument("--table", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_chains)
-
-    p = sub.add_parser("firstop", help="forced first-subtraction scan")
-    p.add_argument("--table", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_firstop)
-
-    p = sub.add_parser("fit-e", help="least-squares growth of least values")
-    p.add_argument("--table", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_fit_e)
-
-    p = sub.add_parser("top-log", help="largest logarithmic complexities")
-    p.add_argument("--table", required=True)
-    p.add_argument("--count", type=int, default=16)
-    _add_format(p)
-    p.set_defaults(func=_cmd_top_log)
-
-    p = sub.add_parser("expr", help="reconstruct a minimum-height shortest expression")
-    p.add_argument("n", type=int)
-    p.add_argument("--table", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_expr)
-
+    for name, help_text, arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=_COMMANDS.get(name, _cmd_table))
     return parser
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .primality import factorize
 
 LN3 = math.log(3.0)
@@ -22,6 +24,10 @@ ALGORITHM_TAGS = ("sieve", "dp", "oracle")
 
 # widest value the one-byte table layout can hold
 MAX_COMPLEXITY = 255
+
+# largest value a table may hold, so that two of them sum inside a uint8
+# as the builder and the scans add them
+MAX_STORED = 127
 
 # smallest number whose shortest expressions all require a first
 # operation other than "+1" or a product split (found by M. N. Fuller)
@@ -162,6 +168,13 @@ def product_slices(lo: int, hi: int):
             yield d, slice(first - lo, hi - lo, d), slice(first // d, (hi - 1) // d + 1)
 
 
+def check_stored(complexity) -> None:
+    """Refuse a complexity column (any buffer) holding a value above MAX_STORED."""
+    top = int(np.frombuffer(complexity, dtype=np.uint8).max())
+    if top > MAX_STORED:
+        raise ValueError(f"complexity value {top} above {MAX_STORED}: sums of two would wrap")
+
+
 def hamming_weight(n: int) -> int:
     return int(n).bit_count()
 
@@ -189,8 +202,8 @@ class ComplexityTable:
     ``complexity`` (and ``rank`` when present) are byte strings of length
     limit + 1 with index 0 unused, so the value for n sits at index n;
     ``storage.load`` gives read-only memoryviews, which compare equal to
-    the same bytes.  Immutable after construction; safe to share between
-    threads.
+    the same bytes.  No complexity exceeds MAX_STORED.  Immutable after
+    construction; safe to share between threads.
     """
 
     limit: int
@@ -212,6 +225,7 @@ class ComplexityTable:
             raise ValueError("rank array length does not match limit")
         if self.complexity[1] != 1:
             raise ValueError("complexity of 1 must be 1")
+        check_stored(self.complexity)
 
     @property
     def has_ranks(self) -> bool:

@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement, product
 
 from .core import ComplexityTable, max_expressible
 from .expr import ExprTree, ONE, add, mul
-from .primality import smallest_prime_factors
+from .primality import factorize
 
 
 class CapExceededError(ValueError):
@@ -63,7 +63,6 @@ class _Engine:
         self.prod_pool: dict[int, list[int]] = {}
         self.missing: list[int] = list(range(2, limit + 1))
         self._k = 1
-        self._spf = smallest_prime_factors(limit)
         self._div_cache: dict[int, list[int]] = {}
 
     # -- decomposition generators -------------------------------------
@@ -101,17 +100,8 @@ class _Engine:
         divs = self._div_cache.get(W)
         if divs is not None:
             return divs
-        pairs: list[tuple[int, int]] = []
-        m = W
-        while m > 1:
-            p = self._spf[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            pairs.append((p, e))
         divs = [1]
-        for p, e in pairs:
+        for p, e in Counter(factorize(W)).items():
             divs = [d * p**i for d in divs for i in range(e + 1)]
         divs.sort()
         self._div_cache[W] = divs

@@ -48,21 +48,6 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def smallest_prime_factors(n: int) -> list[int]:
-    """spf[i] = smallest prime factor of i for i = 2..n (spf[0] = spf[1] = 0)."""
-    spf = list(range(n + 1))
-    if n >= 1:
-        spf[1] = 0
-    if n >= 0:
-        spf[0] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:  # prime
-            for m in range(p * p, n + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    return spf
-
-
 def factorize(n: int) -> list[int]:
     """Prime factors of n with multiplicity, ascending (trial division)."""
     if n < 2:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexityTable
+from .core import ComplexityTable, check_stored
 
 MAGIC = b"ICX1"
 VERSION = 2
@@ -77,6 +77,7 @@ class Checkpoint:
             raise ValueError("checkpoint position outside [1, limit]")
         if len(self.complexity) != self.position + 1:
             raise ValueError("checkpoint prefix length mismatch")
+        check_stored(self.complexity)
 
 
 def _checksum(*parts) -> int:

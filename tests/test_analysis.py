@@ -57,8 +57,6 @@ def test_sequence_monotone(sieve_50k):
 
 
 def test_rank_sequence_requires_ranks(dp_5k):
-    with pytest.raises(ValueError):
-        an.derive_sequences(dp_5k, include_rank_sequence=True)
     seq = an.derive_sequences(dp_5k)
     assert seq.rank_firsts is None
 

@@ -1,10 +1,14 @@
 import json
 import os
+import re
+import zlib
+from pathlib import Path
 
 import pytest
 
 from intcomplexity import storage
 from intcomplexity.cli import main
+from intcomplexity.dp import build
 from intcomplexity.reporting import parse_rows
 
 
@@ -61,7 +65,7 @@ def test_algo_is_ignored(tmp_path):
     for algo in (["--algo", "sieve"], ["--algo", "dp"], []):
         path = str(tmp_path / f"t{len(blobs)}.icx")
         assert main(["build", "--limit", "30000", "--out", path, *algo]) == 0
-        blobs.append(open(path, "rb").read())
+        blobs.append(Path(path).read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
 
 
@@ -191,18 +195,67 @@ def test_resume_command(tmp_path, monkeypatch, capsys):
     rc, out = run(capsys, ["resume", "--checkpoint", path, "--limit", "50000", "--out", path,
                            "--checkpoint-every", "5000"])
     assert rc == 0 and "n = 50000" in out
-    assert open(path, "rb").read() == open(oneshot, "rb").read()
+    assert Path(path).read_bytes() == Path(oneshot).read_bytes()
 
 
 def test_resume_bad_checkpoint(tmp_path, capsys):
     path = str(tmp_path / "c.icx")
     storage.save_checkpoint(path, limit=100, position=5, prefix=bytes([0, 1, 2, 3, 4, 5]))
     out = str(tmp_path / "t.icx")
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-3])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-3])
     assert main(["resume", "--checkpoint", path, "--limit", "100", "--out", out]) == 2
-    open(path, "wb").write(blob[:-9] + bytes([blob[-9] ^ 1]) + blob[-8:])
+    Path(path).write_bytes(blob[:-9] + bytes([blob[-9] ^ 1]) + blob[-8:])
     assert main(["resume", "--checkpoint", path, "--limit", "100", "--out", out]) == 2
     assert main(["resume", "--checkpoint", str(tmp_path / "none.icx"), "--limit", "100",
                  "--out", out]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_resume_refuses_values_above_127(tmp_path, capsys):
+    # files with a valid CRC and f(2) = f(500) = 128 or 130, as a finished
+    # table and as a checkpoint: 130 + 130 wraps in a uint8 sum
+    table = build(999)
+    out = str(tmp_path / "t.icx")
+    for value in (128, 130):
+        for name in ("table", "checkpoint"):
+            path = tmp_path / f"{name}.icx"
+            if name == "table":
+                storage.save(table, str(path))
+            else:
+                storage.save_checkpoint(str(path), limit=1999, position=999,
+                                        prefix=table.complexity)
+            blob = bytearray(path.read_bytes())
+            start = len(blob) - 8 - 999  # the byte of n = 1
+            blob[start + 1] = blob[start + 499] = value
+            blob[-8:] = zlib.crc32(blob[start:-8]).to_bytes(8, "little")
+            path.write_bytes(blob)
+            assert main(["resume", "--checkpoint", str(path), "--limit", "1999", "--out", out]) == 2
+            assert f"complexity value {value} above 127" in capsys.readouterr().err
+            assert not os.path.exists(out)
+
+
+def test_text_renderers(table_file, capsys):
+    def lines(*argv):
+        rc, out = run(capsys, [*argv, "--table", table_file])
+        assert rc == 0
+        return out.splitlines()
+
+    assert lines("query", "1439") == ["complexity 26, rank 9"]
+    assert len(lines("expr", "14")) == 3
+    chains = lines("chains")
+    for line, label in zip(chains[-3:], ("(e-1)/2", "(e-2)/3", "(e-3)/4")):
+        pattern = re.escape(label) + rf" prime for \d+/{len(chains) - 4} reliable entries"
+        assert re.fullmatch(pattern, line)
+    assert lines("firstop")[-1] == "0 forced-subtraction number(s) at limit 30000"
+    assert re.fullmatch(r"slope \S+, intercept \S+, range \d+\.\.\d+", lines("fit-e")[0])
+    for argv, headers in (
+        (["seq"], "sequence k value reliable limit algorithm"),
+        (["collapse", "--primes-below", "50"],
+         "p collapses_at checked_up_to complexity rank log_complexity"),
+        (["top-log", "--count", "5"], "n complexity log_complexity rank unique"),
+    ):
+        got = lines(*argv)
+        assert got[0].split() == headers.split()
+        assert len(got) > 1
+    assert len(lines("top-log", "--count", "5")) == 6

@@ -1,9 +1,14 @@
+import math
 import os
+import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from golden import FIRST_FIFTEEN
 from intcomplexity import storage
+from intcomplexity.core import ComplexityTable
 from intcomplexity.dp import build
 from intcomplexity.primality import factorize
 from intcomplexity.storage import BadMagicError, Checkpoint, load
@@ -107,7 +112,7 @@ def test_resume_corrupt_magic(tmp_path, monkeypatch):
     crash_after(monkeypatch, 1)
     with pytest.raises(Crash):
         build(2000, checkpoint_every=1000, out=path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[0] ^= 0xFF
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -135,3 +140,37 @@ def test_ranks_are_not_checkpointed(tmp_path):
         with pytest.raises(ValueError, match="ranks"):
             build(2000, ranks=True, **kwargs)
     assert not os.path.exists(tmp_path / "c.icx")
+
+
+def _raised_prefix(f, rng):
+    """f exact below 40 and at one random anchor in every 40 entries, and
+    elsewhere the +1-chain bound from the anchor below: never below f,
+    closed under the +1 chain, and at most 127."""
+    g = list(f)
+    anchors = {40 * i + rng.randrange(40) for i in range(1, len(f) // 40 + 1)}
+    for n in range(40, len(f)):
+        if n not in anchors:
+            g[n] = g[n - 1] + 1
+    return g
+
+
+@pytest.mark.parametrize("lo", [1000, 3000])
+def test_sum_scan_on_raised_prefix(tmp_path, lo):
+    # Below 353,942,783 no true complexity needs a sum with j >= 6, so only
+    # a raised prefix exercises that scan: the block [lo, 2*lo) must match
+    # the uncapped recurrence over the same prefix.
+    g = _raised_prefix(build(lo - 1).complexity, random.Random(lo))
+    assert max(g) <= 127
+    path = str(tmp_path / "p.icx")
+    storage.save(ComplexityTable(limit=lo - 1, complexity=bytes(g)), path)
+    got = build(2 * lo - 1, resume=path).complexity
+    ref = np.array(g + [0] * lo, dtype=np.int64)
+    by_large_sum = 0  # entries decided only by a sum with j >= 6
+    for n in range(lo, 2 * lo):
+        sums = ref[1 : n // 2 + 1] + ref[n - 1 : n - n // 2 - 1 : -1]  # j = 1 .. n // 2
+        prods = [ref[d] + ref[n // d] for d in range(2, math.isqrt(n) + 1) if n % d == 0]
+        ref[n] = min([sums.min(), *prods])
+        by_large_sum += bool(sums[5:].min() < min([sums[:5].min(), *prods]))
+    assert bytes(got[:lo]) == bytes(g)
+    assert list(got[lo:]) == ref[lo:].tolist()
+    assert by_large_sum > 0

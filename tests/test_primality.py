@@ -3,7 +3,7 @@ import math
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intcomplexity.primality import factorize, is_prime, primes_up_to, smallest_prime_factors
+from intcomplexity.primality import factorize, is_prime, primes_up_to
 
 
 def trial_is_prime(n: int) -> bool:
@@ -47,10 +47,3 @@ def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(10**5)) == 9592
 
-
-def test_smallest_prime_factors():
-    spf = smallest_prime_factors(1000)
-    for n in range(2, 1001):
-        assert n % spf[n] == 0
-        assert is_prime(spf[n])
-        assert spf[n] == min(factorize(n))

@@ -2,6 +2,7 @@ import os
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,9 +64,9 @@ def test_load_holds_two_copies(tmp_path):
 def test_flipped_payload_byte(table, tmp_path):
     path = str(tmp_path / "t.icx")
     save(table, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[30] ^= 0x01
-    open(path, "wb").write(blob)
+    Path(path).write_bytes(blob)
     with pytest.raises(ChecksumError):
         load(path)
 
@@ -74,11 +75,11 @@ def test_swapped_payload_bytes(table, tmp_path):
     # a byte sum cannot see two payload bytes trade places; the CRC does
     path = str(tmp_path / "t.icx")
     save(table, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     i, j = 30, 31
     assert blob[i] != blob[j]
     blob[i], blob[j] = blob[j], blob[i]
-    open(path, "wb").write(blob)
+    Path(path).write_bytes(blob)
     with pytest.raises(ChecksumError):
         load(path)
 
@@ -88,11 +89,11 @@ def test_reads_version_1(table, tmp_path):
     payload = table.complexity[1:] + table.rank[1:]
     head = b"ICX1" + struct.pack("<IQI", 1, table.limit, 1)
     path = str(tmp_path / "v1.icx")
-    open(path, "wb").write(head + payload + struct.pack("<Q", sum(payload)))
+    Path(path).write_bytes(head + payload + struct.pack("<Q", sum(payload)))
     assert load_table(path) == table
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[30] ^= 0x01
-    open(path, "wb").write(blob)
+    Path(path).write_bytes(blob)
     with pytest.raises(ChecksumError):
         load(path)
 
@@ -100,9 +101,9 @@ def test_reads_version_1(table, tmp_path):
 def test_unsupported_version(table, tmp_path):
     path = str(tmp_path / "t.icx")
     save(table, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[4] = 3
-    open(path, "wb").write(blob)
+    Path(path).write_bytes(blob)
     with pytest.raises(UnsupportedVersionError):
         load(path)
 
@@ -110,9 +111,9 @@ def test_unsupported_version(table, tmp_path):
 def test_bad_magic(table, tmp_path):
     path = str(tmp_path / "t.icx")
     save(table, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[:4] = b"NOPE"
-    open(path, "wb").write(blob)
+    Path(path).write_bytes(blob)
     with pytest.raises(BadMagicError):
         load(path)
 
@@ -120,8 +121,8 @@ def test_bad_magic(table, tmp_path):
 def test_truncation(table, tmp_path, monkeypatch):
     path = str(tmp_path / "t.icx")
     save(table, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-5])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-5])
     with pytest.raises(TruncatedFileError):
         load(path)
     # cut short after its size was taken: the reads come up short
@@ -132,7 +133,7 @@ def test_truncation(table, tmp_path, monkeypatch):
 
 def test_short_header(tmp_path):
     path = str(tmp_path / "t.icx")
-    open(path, "wb").write(b"IC")
+    Path(path).write_bytes(b"IC")
     with pytest.raises(TruncatedFileError):
         load(path)
 
@@ -159,8 +160,8 @@ def test_checkpoint_from_any_buffer(tmp_path):
     a, b = str(tmp_path / "a.icx"), str(tmp_path / "b.icx")
     save_checkpoint(a, limit=100, position=5, prefix=prefix)
     save_checkpoint(b, limit=100, position=5, prefix=memoryview(np.frombuffer(prefix, np.uint8)))
-    blob = open(a, "rb").read()
-    assert blob == open(b, "rb").read()
+    blob = Path(a).read_bytes()
+    assert blob == Path(b).read_bytes()
     # version 2: header, position, payload n = 1..5, CRC-32 of the payload
     assert blob == (b"ICX1" + (2).to_bytes(4, "little") + (100).to_bytes(8, "little")
                     + (2).to_bytes(4, "little") + (5).to_bytes(8, "little")
