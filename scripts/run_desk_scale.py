@@ -41,7 +41,7 @@ REPORTS = [
 def run(limit: int, outdir: str) -> int:
     os.makedirs(outdir, exist_ok=True)
     table_path = os.path.join(outdir, f"table-{limit}.icx")
-    table = storage.load_table(table_path) if os.path.exists(table_path) else None
+    table = storage.load(table_path) if os.path.exists(table_path) else None
     if table is None or table.limit != limit or not table.has_ranks:
         t0 = time.time()
         table = build(limit, ranks=True, out=table_path)

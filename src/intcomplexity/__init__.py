@@ -26,14 +26,13 @@ from .core import (
 from .dp import build
 from .enumerator import CapExceededError, OracleResult, oracle_complexity, oracle_table
 from .expr import ExprTree, add, canonicalize, infix, mul, one, postfix_emit, postfix_parse
-from .storage import Checkpoint, IcxError, load, load_table, save
+from .storage import IcxError, load, save
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundPair",
     "CapExceededError",
-    "Checkpoint",
     "ComplexityTable",
     "ExprTree",
     "IcxError",
@@ -48,7 +47,6 @@ __all__ = [
     "integer_logarithm",
     "is_power_of_3",
     "load",
-    "load_table",
     "log_complexity",
     "lower_bound",
     "max_expressible",

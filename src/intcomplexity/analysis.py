@@ -332,7 +332,7 @@ def check_prime_plus1(t: ComplexityTable) -> Report:
     """Every prime's complexity is 1 + that of its predecessor (below the
     first sum-necessary number)."""
     limit = min(t.limit, FIRST_SUM_NECESSARY - 1)
-    ps = np.array(primes_up_to(limit), dtype=np.int64)
+    ps = primes_up_to(limit)
     c = _comp_array(t)
     bad = ps[c[ps] != c[ps - 1] + 1]
     counterexamples = [
@@ -454,7 +454,7 @@ class CollapseRecord:
 def collapse_scan(t: ComplexityTable, prime_cap: int) -> list[CollapseRecord]:
     c = t.complexity
     out = []
-    for p in primes_up_to(min(prime_cap, t.limit)):
+    for p in primes_up_to(min(prime_cap, t.limit)).tolist():
         cp = c[p]
         collapses = None
         k = 2

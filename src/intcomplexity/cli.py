@@ -1,11 +1,12 @@
 """Command-line front door.
 
-Subcommands: build, resume, query, oracle, seq, verify, collapse,
-chains, firstop, fit-e, top-log, expr.  Exit codes: 0 success (and
+Subcommands: build, query, oracle, seq, verify, collapse, chains,
+firstop, fit-e, top-log, expr.  Exit codes: 0 success (and
 every checked fact holds in range), 1 a verification found
 counterexamples, 2 usage or configuration error.
 
-``build`` and ``resume`` are one call each to ``dp.build``.  Every
+``build`` is one call to ``dp.build``, with its keywords as options;
+``--resume`` continues an interrupted build from its checkpoint.  Every
 table-reading subcommand takes one path in two steps: ``report`` runs its
 analysis on a loaded table and returns headers and rows (for verify, the
 reports), deriving the ``SequenceSet`` only for seq, chains and fit-e
@@ -39,16 +40,10 @@ ERRORS = (ValueError, storage.IcxError, OSError, RuntimeError)
 
 def _cmd_build(args) -> int:
     table = (build_sieve if args.ranks else build_dp)(
-        args.limit, ranks=args.ranks, checkpoint_every=args.checkpoint_every, out=args.out
+        args.limit, ranks=args.ranks, checkpoint_every=args.checkpoint_every, out=args.out,
+        resume=args.resume,
     )
     print(f"built table to n = {table.limit}{' with ranks' if args.ranks else ''}: {args.out}")
-    return 0
-
-
-def _cmd_resume(args) -> int:
-    table = build_dp(args.limit, checkpoint_every=args.checkpoint_every, out=args.out,
-                     resume=args.checkpoint)
-    print(f"resumed table to n = {table.limit}: {args.out}")
     return 0
 
 
@@ -212,7 +207,7 @@ _TEXT = {
 def render(table, args, result, fmt: str) -> tuple[str, int]:
     """The text printed for ``report``'s result in a format, and the exit code."""
     if args.command == "verify":
-        text = "".join(emit_report(r, "json" if fmt == "json" else "text") for r in result)
+        text = "".join(emit_report(r, fmt) for r in result)
         return text, 0 if all(r.passed for r in result) else 1
     place, lines = _TEXT.get(args.command, (None, None)) if fmt == "text" else (None, None)
     extra = "".join(line + "\n" for line in lines(table, result[1])) if lines else ""
@@ -221,7 +216,7 @@ def render(table, args, result, fmt: str) -> tuple[str, int]:
 
 
 def _cmd_table(args) -> int:
-    table = storage.load_table(args.table)
+    table = storage.load(args.table)
     text, code = render(table, args, report(table, args), args.format)
     sys.stdout.write(text)
     return code
@@ -230,9 +225,6 @@ def _cmd_table(args) -> int:
 _N = ("n", {"type": int})
 _TABLE = ("--table", {"required": True})
 _FORMAT = ("--format", {"choices": reporting.FORMATS, "default": "text"})
-_LIMIT = ("--limit", {"type": int, "required": True})
-_OUT = ("--out", {"required": True})
-_EVERY = ("--checkpoint-every", {"type": int, "default": 0})
 
 # name, help and arguments of every subcommand, in --help order
 _SUBCOMMANDS = [
@@ -240,16 +232,17 @@ _SUBCOMMANDS = [
         # ignored, since one builder makes every table; accepted because the
         # benchmark still passes --algo dp, until ROADMAP item 1
         ("--algo", {"choices": ("sieve", "dp"), "help": argparse.SUPPRESS}),
-        _LIMIT, ("--ranks", {"action": "store_true"}), _OUT, _EVERY]),
-    ("resume", "finish an interrupted build from its checkpoint",
-     [("--checkpoint", {"required": True}), _LIMIT, _OUT, _EVERY]),
+        ("--limit", {"type": int, "required": True}), ("--ranks", {"action": "store_true"}),
+        ("--out", {"required": True}), ("--checkpoint-every", {"type": int, "default": 0}),
+        ("--resume", {"metavar": "PATH", "help": "continue a smaller table, such as a checkpoint"})]),
     ("query", "complexity and rank of one value", [_N, _TABLE, _FORMAT]),
     ("oracle", "exhaustive shortest-expression search",
      [_N, ("--max-ones", {"type": int, "default": None}), ("--all", {"action": "store_true"}),
       _FORMAT]),
     ("seq", "derived sequences of a table", [_TABLE, _FORMAT]),
     ("verify", "check table facts; exit 1 on counterexamples",
-     [("kind", {"choices": _VERIFY_KINDS + ("all",)}), _TABLE, _FORMAT]),
+     [("kind", {"choices": _VERIFY_KINDS + ("all",)}), _TABLE,
+      ("--format", {"choices": ("text", "json"), "default": "text"})]),
     ("collapse", "prime power collapse scan",
      [_TABLE, ("--primes-below", {"type": int, "default": 1000}), _FORMAT]),
     ("chains", "doubling chains behind least values", [_TABLE, _FORMAT]),
@@ -259,7 +252,7 @@ _SUBCOMMANDS = [
      [_TABLE, ("--count", {"type": int, "default": 16}), _FORMAT]),
     ("expr", "reconstruct a minimum-height shortest expression", [_N, _TABLE, _FORMAT]),
 ]
-_COMMANDS = {"build": _cmd_build, "resume": _cmd_resume, "oracle": _cmd_oracle}
+_COMMANDS = {"build": _cmd_build, "oracle": _cmd_oracle}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,8 +24,8 @@ lowered by its optimal split, whose parts are smaller and exact and
 whose addend lies within the cap; so every value is exact.
 
 Checkpoints land at every multiple of ``checkpoint_every`` below the
-limit, where blocks are cut; a resumed build continues from whatever
-position its checkpoint holds.
+limit, where blocks are cut.  A checkpoint is the table of the finished
+prefix, and a build resumes from any smaller table.
 
 Ranks are filled in the same blocks from the final complexities.  The
 rank of n is the least height of a shortest expression for n, where a
@@ -153,12 +153,13 @@ def build(
     [1, limit].
 
     ``out`` is where the finished table is saved; with ``checkpoint_every``
-    > 0, partial snapshots land at the same path at every multiple of it
-    below ``limit`` (atomically, newest wins).  ``resume`` is the path of a
-    checkpoint or of a smaller finished table whose prefix is continued;
-    the result is bit-identical to a one-shot build, and a limit at or
-    below the stored position truncates the prefix without recomputing.
-    Checkpoints hold complexities only, so ``ranks`` excludes both.
+    > 0, the unranked table of the finished prefix is saved at the same
+    path at every multiple of it below ``limit`` (atomically, newest wins).
+    ``resume`` is the path of a smaller table, whose prefix is continued; a
+    checkpoint is one.  The result is bit-identical to a one-shot build,
+    and a limit at or below the stored one truncates the prefix without
+    recomputing.  Checkpoints hold complexities only, so ``ranks``
+    excludes both.
     """
     if ranks and (checkpoint_every or resume):
         raise ValueError("checkpoints hold complexities only: ranks cannot be checkpointed or resumed")
@@ -184,7 +185,7 @@ def build(
         if ranks:
             _rank(f, gs, gp, lo, hi)
         if checkpoint_every and (hi - 1) % checkpoint_every == 0 and hi - 1 < limit:
-            storage.save_checkpoint(out, limit, hi - 1, memoryview(f)[:hi])
+            storage.save_checkpoint(out, memoryview(f)[:hi])
         lo = hi
     rank = None
     if ranks:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 # strong-pseudoprime bases that decide primality for all n < 3.3e24,
 # comfortably covering 64-bit inputs
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -36,16 +38,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n via a byte sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
+def primes_up_to(n: int) -> np.ndarray:
+    """All primes <= n, ascending, as an int64 array (a bool sieve)."""
+    n = max(n, 1)
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [i for i in range(2, n + 1) if sieve[i]]
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
 
 
 def factorize(n: int) -> list[int]:

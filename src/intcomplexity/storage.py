@@ -6,9 +6,10 @@ Layout, little-endian throughout:
     version   u32      2 (version 1 files are still read)
     limit     u64      table size n = 1..limit
     flags     u32      bit 0: rank section present
-                       bit 1: partial checkpoint; a u64 position field
-                              follows the header and the payload covers
-                              n = 1..position only
+                       bit 1: read only, carried by older checkpoints: a
+                              u64 position field follows the header, the
+                              payload covers n = 1..position, and the file
+                              loads as the table of limit position
                        bits 2-3: builder tag (0 sieve, 1 dp, 2 oracle)
     position  u64      only when flags bit 1 is set
     payload   bytes    complexity values, then rank values when flagged
@@ -16,8 +17,10 @@ Layout, little-endian throughout:
                        of the payload bytes mod 2**64, which misses
                        reordered bytes
 
-Writes go to a temporary file in the target directory and are renamed
-into place, so a torn write never leaves a half-written table behind.
+A checkpoint is the unranked table of a build's finished prefix, byte
+for byte the file a build to that limit writes.  Writes go to a
+temporary file in the target directory and are renamed into place, so a
+torn write never leaves a half-written table behind.
 """
 
 from __future__ import annotations
@@ -26,16 +29,15 @@ import os
 import struct
 import tempfile
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexityTable, check_stored
+from .core import ComplexityTable
 
 MAGIC = b"ICX1"
 VERSION = 2
 FLAG_RANKS = 1
-FLAG_PARTIAL = 2
+_FLAG_PARTIAL = 2
 _TAG_SHIFT = 2
 _TAG_CODES = {"sieve": 0, "dp": 1, "oracle": 2}
 _TAG_NAMES = {v: k for k, v in _TAG_CODES.items()}
@@ -62,22 +64,6 @@ class TruncatedFileError(IcxError):
 
 class ChecksumError(IcxError):
     pass
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """Resumable prefix of an interrupted build."""
-
-    limit: int
-    position: int
-    complexity: bytes  # index 0 unused, valid through [1, position]
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.position <= self.limit:
-            raise ValueError("checkpoint position outside [1, limit]")
-        if len(self.complexity) != self.position + 1:
-            raise ValueError("checkpoint prefix length mismatch")
-        check_stored(self.complexity)
 
 
 def _checksum(*parts) -> int:
@@ -108,8 +94,7 @@ def _atomic_write(path: str, head: bytes, *payload) -> None:
         raise
 
 
-def save(table: ComplexityTable, path: str) -> None:
-    """Write a complete table; load(path) returns a bit-identical one."""
+def _write(table: ComplexityTable, path: str) -> None:
     flags = FLAG_RANKS if table.rank is not None else 0
     flags |= _TAG_CODES[table.algorithm_tag] << _TAG_SHIFT
     payload = [memoryview(table.complexity)[1:]]
@@ -118,15 +103,15 @@ def save(table: ComplexityTable, path: str) -> None:
     _atomic_write(path, _HEADER.pack(MAGIC, VERSION, table.limit, flags), *payload)
 
 
-def save_checkpoint(path: str, limit: int, position: int, prefix) -> None:
-    """Write a partial table covering n = 1..position of a limit-sized build;
-    ``prefix`` is any buffer of position + 1 bytes (index 0 unused)."""
-    if not 1 <= position <= limit:
-        raise ValueError("checkpoint position outside [1, limit]")
-    if len(prefix) != position + 1:
-        raise ValueError("checkpoint prefix length mismatch")
-    head = _HEADER.pack(MAGIC, VERSION, limit, FLAG_PARTIAL) + _U64.pack(position)
-    _atomic_write(path, head, memoryview(prefix)[1:])
+def save(table: ComplexityTable, path: str) -> None:
+    """Write a complete table; load(path) returns a bit-identical one."""
+    _write(table, path)
+
+
+def save_checkpoint(path: str, prefix) -> None:
+    """Write a build's finished prefix, any buffer with index 0 unused, as
+    the unranked table of limit len(prefix) - 1."""
+    _write(ComplexityTable(limit=len(prefix) - 1, complexity=prefix), path)
 
 
 def _read_column(fh, section: int) -> memoryview:
@@ -137,8 +122,8 @@ def _read_column(fh, section: int) -> memoryview:
     return memoryview(buf).toreadonly()
 
 
-def load(path: str) -> ComplexityTable | Checkpoint:
-    """Read a table file; partial files come back as Checkpoint objects."""
+def load(path: str) -> ComplexityTable:
+    """Read a table file; an older partial file is the table of its prefix."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(_HEADER.size)
@@ -150,13 +135,12 @@ def load(path: str) -> ComplexityTable | Checkpoint:
         if version not in (1, VERSION):
             raise UnsupportedVersionError(f"{path}: unsupported version {version}")
         off = _HEADER.size
-        partial = bool(flags & FLAG_PARTIAL)
+        partial = bool(flags & _FLAG_PARTIAL)
         with_ranks = bool(flags & FLAG_RANKS)
         if partial and with_ranks:
             raise IcxError(f"{path}: partial files cannot carry a rank section")
         if limit < 1:
             raise IcxError(f"{path}: nonsensical limit {limit}")
-        position = limit
         if partial:
             field = fh.read(8)
             if len(field) < 8:
@@ -165,12 +149,12 @@ def load(path: str) -> ComplexityTable | Checkpoint:
             off += 8
             if not 1 <= position <= limit:
                 raise IcxError(f"{path}: position {position} outside [1, {limit}]")
-        section = position
-        expected = off + section * (2 if with_ranks else 1) + 8
+            limit = position
+        expected = off + limit * (2 if with_ranks else 1) + 8
         if size != expected:
             raise TruncatedFileError(f"{path}: {size} bytes, expected {expected}")
-        comp = _read_column(fh, section)
-        rank = _read_column(fh, section) if with_ranks else None
+        comp = _read_column(fh, limit)
+        rank = _read_column(fh, limit) if with_ranks else None
         tail = fh.read(8)
     # readinto fills a column unless the file ends, so a short column
     # leaves the tail short too
@@ -179,17 +163,15 @@ def load(path: str) -> ComplexityTable | Checkpoint:
     payload = [c[1:] for c in (comp, rank) if c is not None]
     if (_checksum if version == VERSION else _byte_sum)(*payload) != _U64.unpack(tail)[0]:
         raise ChecksumError(f"{path}: checksum mismatch")
-    if partial:
-        return Checkpoint(limit=limit, position=position, complexity=comp)
     tag = _TAG_NAMES.get((flags >> _TAG_SHIFT) & 0x3)
     if tag is None:
         raise IcxError(f"{path}: unknown builder tag in flags {flags:#x}")
-    return ComplexityTable(limit=limit, complexity=comp, rank=rank, algorithm_tag=tag)
+    try:
+        return ComplexityTable(limit=limit, complexity=comp, rank=rank, algorithm_tag=tag)
+    except ValueError as exc:  # a valid checksum over values no build writes
+        raise IcxError(str(exc)) from exc
 
 
-def load_table(path: str) -> ComplexityTable:
-    """Like load(), but refuses partial checkpoints."""
-    got = load(path)
-    if isinstance(got, Checkpoint):
-        raise IcxError(f"{path}: is a partial checkpoint (position {got.position})")
-    return got
+# the old name, kept only because the benchmark's harness (perfbench/run.py)
+# reads tables with it, like the builder aliases in cli
+load_table = load

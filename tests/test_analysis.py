@@ -245,7 +245,7 @@ def _perturbed(t, seed=0, count=200):
     """Lower some primes by 1 and some n by 2, so that sum splits survive."""
     rng = random.Random(seed)
     comp = bytearray(t.complexity)
-    for p in rng.sample(primes_up_to(t.limit)[10:], count):
+    for p in rng.sample(primes_up_to(t.limit)[10:].tolist(), count):
         comp[p] -= 1
     for n in rng.sample(range(20, t.limit + 1), count):
         comp[n] -= 2

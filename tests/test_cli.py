@@ -76,9 +76,9 @@ def test_ranks_are_not_checkpointed(tmp_path, capsys):
                  "--checkpoint-every", "10"]) == 2
     assert "ranks" in capsys.readouterr().err
     assert not os.path.exists(path)
-    storage.save_checkpoint(ckpt, limit=100, position=5, prefix=bytes([0, 1, 2, 3, 4, 5]))
-    assert main(["resume", "--checkpoint", ckpt, "--limit", "100", "--out", path,
-                 "--ranks"]) == 2
+    storage.save_checkpoint(ckpt, bytes([0, 1, 2, 3, 4, 5]))
+    assert main(["build", "--resume", ckpt, "--limit", "100", "--out", path, "--ranks"]) == 2
+    assert "ranks" in capsys.readouterr().err
     assert not os.path.exists(path)
 
 
@@ -100,7 +100,7 @@ def test_verify_pass_and_fail(table_file, tmp_path, capsys):
     assert rc == 0
     assert out.count("PASS") == 7
     # break one power of two, rewrite, expect exit 1
-    t = storage.load_table(table_file)
+    t = storage.load(table_file)
     comp = bytearray(t.complexity)
     comp[64] = 13
     broken = storage.ComplexityTable(
@@ -176,6 +176,14 @@ def test_missing_table_file(capsys):
     assert rc == 2
 
 
+def test_verify_formats(table_file, capsys):
+    # a verification report is text or json; csv is a usage error
+    rc, out = run(capsys, ["verify", "pow2", "--table", table_file, "--format", "json"])
+    assert rc == 0 and json.loads(out)["passed"]
+    assert main(["verify", "pow2", "--table", table_file, "--format", "csv"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_help_exits_zero():
     assert main(["--help"]) == 0
 
@@ -191,8 +199,8 @@ def test_resume_command(tmp_path, monkeypatch, capsys):
               "--checkpoint-every", "5000"])
     monkeypatch.undo()
     assert written == [5000, 10000, 15000, 20000]
-    assert storage.load(path).position == 20000
-    rc, out = run(capsys, ["resume", "--checkpoint", path, "--limit", "50000", "--out", path,
+    assert storage.load(path).limit == 20000
+    rc, out = run(capsys, ["build", "--resume", path, "--limit", "50000", "--out", path,
                            "--checkpoint-every", "5000"])
     assert rc == 0 and "n = 50000" in out
     assert Path(path).read_bytes() == Path(oneshot).read_bytes()
@@ -200,37 +208,38 @@ def test_resume_command(tmp_path, monkeypatch, capsys):
 
 def test_resume_bad_checkpoint(tmp_path, capsys):
     path = str(tmp_path / "c.icx")
-    storage.save_checkpoint(path, limit=100, position=5, prefix=bytes([0, 1, 2, 3, 4, 5]))
+    storage.save_checkpoint(path, bytes([0, 1, 2, 3, 4, 5]))
     out = str(tmp_path / "t.icx")
     blob = Path(path).read_bytes()
     Path(path).write_bytes(blob[:-3])
-    assert main(["resume", "--checkpoint", path, "--limit", "100", "--out", out]) == 2
+    assert main(["build", "--resume", path, "--limit", "100", "--out", out]) == 2
     Path(path).write_bytes(blob[:-9] + bytes([blob[-9] ^ 1]) + blob[-8:])
-    assert main(["resume", "--checkpoint", path, "--limit", "100", "--out", out]) == 2
-    assert main(["resume", "--checkpoint", str(tmp_path / "none.icx"), "--limit", "100",
+    assert main(["build", "--resume", path, "--limit", "100", "--out", out]) == 2
+    assert main(["build", "--resume", str(tmp_path / "none.icx"), "--limit", "100",
                  "--out", out]) == 2
     assert "error:" in capsys.readouterr().err
 
 
 def test_resume_refuses_values_above_127(tmp_path, capsys):
     # files with a valid CRC and f(2) = f(500) = 128 or 130, as a finished
-    # table and as a checkpoint: 130 + 130 wraps in a uint8 sum
+    # table and as an older partial file: 130 + 130 wraps in a uint8 sum
+    from test_storage import old_partial
+
     table = build(999)
     out = str(tmp_path / "t.icx")
     for value in (128, 130):
-        for name in ("table", "checkpoint"):
+        for name in ("table", "partial"):
             path = tmp_path / f"{name}.icx"
             if name == "table":
                 storage.save(table, str(path))
             else:
-                storage.save_checkpoint(str(path), limit=1999, position=999,
-                                        prefix=table.complexity)
+                path.write_bytes(old_partial(1999, table.complexity))
             blob = bytearray(path.read_bytes())
             start = len(blob) - 8 - 999  # the byte of n = 1
             blob[start + 1] = blob[start + 499] = value
             blob[-8:] = zlib.crc32(blob[start:-8]).to_bytes(8, "little")
             path.write_bytes(blob)
-            assert main(["resume", "--checkpoint", str(path), "--limit", "1999", "--out", out]) == 2
+            assert main(["build", "--resume", str(path), "--limit", "1999", "--out", out]) == 2
             assert f"complexity value {value} above 127" in capsys.readouterr().err
             assert not os.path.exists(out)
 

@@ -11,7 +11,7 @@ from intcomplexity import storage
 from intcomplexity.core import ComplexityTable
 from intcomplexity.dp import build
 from intcomplexity.primality import factorize
-from intcomplexity.storage import BadMagicError, Checkpoint, load
+from intcomplexity.storage import BadMagicError, load
 
 
 class Crash(Exception):
@@ -25,9 +25,9 @@ def crash_after(monkeypatch, k):
     real = storage.save_checkpoint
     written = []
 
-    def save(path, limit, position, prefix):
-        real(path, limit, position, prefix)
-        written.append(position)
+    def save(path, prefix):
+        real(path, prefix)
+        written.append(len(prefix) - 1)
         if len(written) == k:
             raise Crash
 
@@ -62,8 +62,8 @@ def test_checkpoint_resume_identical(tmp_path, monkeypatch):
         build(30_000, checkpoint_every=4000, out=path)
     monkeypatch.undo()
     on_disk = load(path)
-    assert isinstance(on_disk, Checkpoint)
-    assert on_disk.position == 8000
+    assert isinstance(on_disk, ComplexityTable)
+    assert on_disk.limit == 8000
     assert build(30_000, resume=path).complexity == oneshot.complexity
 
 
@@ -72,7 +72,7 @@ def test_resume_from_any_position(tmp_path):
     oneshot = build(30_000)
     path = str(tmp_path / "t.icx")
     for position in (1, 2, 11_000, 11_111, 29_999):
-        storage.save_checkpoint(path, 30_000, position, oneshot.complexity[: position + 1])
+        storage.save_checkpoint(path, oneshot.complexity[: position + 1])
         assert build(30_000, resume=path).complexity == oneshot.complexity
 
 
@@ -86,7 +86,7 @@ def test_periodic_checkpoints(tmp_path, monkeypatch):
     written = crash_after(monkeypatch, 4)
     with pytest.raises(Crash):
         build(100_000, checkpoint_every=10_000, out=path)
-    assert load(path).position == 40_000
+    assert load(path).limit == 40_000
     monkeypatch.undo()
     written = crash_after(monkeypatch, None)
     final = build(100_000, resume=path, out=path, checkpoint_every=10_000)
@@ -100,7 +100,7 @@ def test_resume_truncated_view(tmp_path, monkeypatch):
     crash_after(monkeypatch, 3)
     with pytest.raises(Crash):
         build(20_000, checkpoint_every=5000, out=path)
-    assert load(path).position == 15_000
+    assert load(path).limit == 15_000
     view = build(10_000, resume=path)
     ref = build(10_000)
     assert view.limit == 10_000

@@ -45,7 +45,7 @@ def least_of_each_rank(rank: bytes, wanted) -> dict[int, int]:
 def test_paper_scale(tmp_path):
     path = str(tmp_path / "paper.icx")
     assert main(["build", "--ranks", "--limit", str(LIMIT), "--out", path]) == 0
-    table = storage.load_table(path)
+    table = storage.load(path)
     published = {k: LEAST_BY_RANK[k] for k in range(15, 20)}
     assert least_of_each_rank(table.rank, published) == published
     records = analysis.first_operation_scan(table)

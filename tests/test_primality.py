@@ -43,7 +43,7 @@ def test_factorize_reassembles(n):
 
 
 def test_primes_up_to():
-    assert primes_up_to(1) == []
-    assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes_up_to(1).tolist() == []
+    assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(10**5)) == 9592
 

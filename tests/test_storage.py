@@ -4,9 +4,11 @@ import tracemalloc
 import zlib
 from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from intcomplexity.core import ComplexityTable
 from intcomplexity.dp import build
 from intcomplexity.storage import (
     BadMagicError,
@@ -15,9 +17,7 @@ from intcomplexity.storage import (
     TruncatedFileError,
     UnsupportedVersionError,
     load,
-    load_table,
     save,
-    save_checkpoint,
 )
 
 
@@ -29,7 +29,7 @@ def table():
 def test_roundtrip_with_ranks(table, tmp_path):
     path = str(tmp_path / "t.icx")
     save(table, path)
-    got = load_table(path)
+    got = load(path)
     assert got.limit == table.limit
     assert got.complexity == table.complexity
     assert got.rank == table.rank
@@ -40,7 +40,7 @@ def test_roundtrip_without_ranks(tmp_path):
     t = build(500)
     path = str(tmp_path / "t.icx")
     save(t, path)
-    got = load_table(path)
+    got = load(path)
     assert got.complexity == t.complexity
     assert got.rank is None
 
@@ -90,7 +90,7 @@ def test_reads_version_1(table, tmp_path):
     head = b"ICX1" + struct.pack("<IQI", 1, table.limit, 1)
     path = str(tmp_path / "v1.icx")
     Path(path).write_bytes(head + payload + struct.pack("<Q", sum(payload)))
-    assert load_table(path) == table
+    assert load(path) == table
     blob = bytearray(Path(path).read_bytes())
     blob[30] ^= 0x01
     Path(path).write_bytes(blob)
@@ -138,32 +138,109 @@ def test_short_header(tmp_path):
         load(path)
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    path = str(tmp_path / "c.icx")
-    prefix = bytes([0, 1, 2, 3, 4, 5])
-    save_checkpoint(path, limit=100, position=5, prefix=prefix)
-    got = load(path)
-    assert got.limit == 100
-    assert got.position == 5
-    assert got.complexity == prefix
-    with pytest.raises(IcxError):
-        load_table(path)
+def old_partial(limit: int, prefix) -> bytes:
+    """A checkpoint as older builds wrote it, of a limit-sized build: version
+    2, flags bit 1, a position field, the payload n = 1..position and its
+    CRC-32."""
+    body = bytes(prefix[1:])
+    return (b"ICX1" + (2).to_bytes(4, "little") + limit.to_bytes(8, "little")
+            + (2).to_bytes(4, "little") + len(body).to_bytes(8, "little")
+            + body + zlib.crc32(body).to_bytes(8, "little"))
 
 
-def test_checkpoint_validation(tmp_path):
-    with pytest.raises(ValueError):
-        save_checkpoint(str(tmp_path / "c.icx"), limit=10, position=11, prefix=bytes(12))
+def test_checkpoint_is_the_table_of_its_prefix(tmp_path, monkeypatch):
+    # a build killed after its k-th checkpoint leaves the file build(k * K) writes
+    from test_dp import Crash, crash_after
+
+    path, ref = str(tmp_path / "c.icx"), str(tmp_path / "ref.icx")
+    for k in (1, 3):
+        crash_after(monkeypatch, k)
+        with pytest.raises(Crash):
+            build(20_000, checkpoint_every=5000, out=path)
+        monkeypatch.undo()
+        build(k * 5000, out=ref)
+        assert Path(path).read_bytes() == Path(ref).read_bytes()
+        got = load(path)
+        assert isinstance(got, ComplexityTable) and got.limit == k * 5000
 
 
-def test_checkpoint_from_any_buffer(tmp_path):
-    prefix = bytes([0, 1, 2, 3, 4, 5])
-    a, b = str(tmp_path / "a.icx"), str(tmp_path / "b.icx")
-    save_checkpoint(a, limit=100, position=5, prefix=prefix)
-    save_checkpoint(b, limit=100, position=5, prefix=memoryview(np.frombuffer(prefix, np.uint8)))
-    blob = Path(a).read_bytes()
-    assert blob == Path(b).read_bytes()
-    # version 2: header, position, payload n = 1..5, CRC-32 of the payload
-    assert blob == (b"ICX1" + (2).to_bytes(4, "little") + (100).to_bytes(8, "little")
-                    + (2).to_bytes(4, "little") + (5).to_bytes(8, "little")
-                    + bytes([1, 2, 3, 4, 5])
-                    + zlib.crc32(bytes([1, 2, 3, 4, 5])).to_bytes(8, "little"))
+def test_old_partial_file_resumes(tmp_path):
+    oneshot, path = str(tmp_path / "oneshot.icx"), str(tmp_path / "c.icx")
+    full = build(30_000, out=oneshot)
+    blob = old_partial(30_000, full.complexity[:12_001])
+    Path(path).write_bytes(blob)
+    assert load(path) == build(12_000)
+    build(30_000, resume=path, out=path)
+    assert Path(path).read_bytes() == Path(oneshot).read_bytes()
+    # a partial file with a rank section is refused
+    Path(path).write_bytes(blob[:16] + (3).to_bytes(4, "little") + blob[20:])
+    with pytest.raises(IcxError, match="partial"):
+        load(path)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A directory, and each of an unranked and a ranked table with the
+    bytes of its saved file, by ranks."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    tables = {}
+    for ranks in (False, True):
+        t = build(300, ranks=ranks)
+        save(t, str(directory / "t.icx"))
+        tables[ranks] = (t, (directory / "t.icx").read_bytes())
+    return directory, tables
+
+
+# offset and size of magic, version, limit and flags; the payload starts at 20
+_HEADER_FIELDS = [(0, 4), (4, 4), (8, 8), (16, 4)]
+_POS = st.integers(0, 2**16)  # taken modulo the file or payload length
+
+
+def _field_edit(field):
+    top = 2 ** (8 * field[1]) - 1
+    return st.tuples(st.just("field"), st.just(field),
+                     st.one_of(st.integers(0, 15), st.integers(0, top)))
+
+
+_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), _POS),
+    st.tuples(st.just("flip"), _POS, st.integers(0, 7)),
+    st.tuples(st.just("swap"), _POS, _POS),
+    st.sampled_from(_HEADER_FIELDS).flatmap(_field_edit),
+    st.tuples(st.just("payload"), _POS, st.integers(0, 255)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ranks=st.booleans(), edit=_EDITS)
+@example(ranks=False, edit=("payload", 0, 2))  # f(1) = 2 under a valid CRC
+@example(ranks=True, edit=("payload", 499, 200))  # f(500) = 200 under a valid CRC
+def test_load_damaged_file(saved, ranks, edit):
+    # damage raises an IcxError subclass or leaves the table the file holds
+    directory, tables = saved
+    t, blob = tables[ranks]
+    blob = bytearray(blob)
+    comp, rank = t.complexity, t.rank
+    kind, *args = edit
+    if kind == "truncate":
+        del blob[args[0] % len(blob):]
+    elif kind == "flip":
+        blob[args[0] % len(blob)] ^= 1 << args[1]
+    elif kind == "swap":
+        i, j = (a % len(blob) for a in args)
+        blob[i], blob[j] = blob[j], blob[i]
+    elif kind == "field":
+        (off, size), value = args
+        blob[off : off + size] = value.to_bytes(size, "little")
+    else:  # a payload byte, with the checksum recomputed
+        blob[20 + args[0] % (len(blob) - 28)] = args[1]
+        blob[-8:] = zlib.crc32(blob[20:-8]).to_bytes(8, "little")
+        comp = b"\0" + blob[20 : 20 + t.limit]
+        rank = b"\0" + blob[20 + t.limit : -8] if ranks else None
+    path = directory / "damaged.icx"
+    path.write_bytes(blob)
+    try:
+        got = load(str(path))
+    except IcxError:
+        return
+    assert (got.limit, got.complexity, got.rank) == (t.limit, comp, rank)
