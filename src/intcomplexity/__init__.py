@@ -8,6 +8,8 @@ checkpoints and resume), the exhaustive oracle that checks it, a binary
 table format, and the derived sequences, scans, and verification suites.
 """
 
+import importlib
+
 from .core import (
     BoundPair,
     ComplexityTable,
@@ -24,9 +26,30 @@ from .core import (
     upper_bound,
 )
 from .dp import build
-from .enumerator import CapExceededError, OracleResult, oracle_complexity, oracle_table
-from .expr import ExprTree, add, canonicalize, infix, mul, one, postfix_emit, postfix_parse
 from .storage import IcxError, load, save
+
+# names of the oracle and the expression trees, imported on first use
+# (PEP 562) so that a build does not load those modules
+_LAZY = {
+    **dict.fromkeys(("CapExceededError", "OracleResult", "oracle_complexity", "oracle_table"),
+                    "enumerator"),
+    **dict.fromkeys(("ExprTree", "add", "canonicalize", "infix", "mul", "one", "postfix_emit",
+                     "postfix_parse"), "expr"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted([*globals(), *_LAZY])
+
 
 __version__ = "0.1.0"
 

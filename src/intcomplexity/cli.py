@@ -15,6 +15,10 @@ exact text printed for a format, and the exit code.
 ``scripts/run_desk_scale.py`` calls ``report`` once per subcommand on
 one loaded table and ``render`` once per format, so its files are what
 the subcommands print.
+
+Subcommands import the modules they analyse with (``analysis``,
+``enumerator``, ``expr``) on first use, so ``build`` loads only the
+builder and the table format.
 """
 
 from __future__ import annotations
@@ -22,12 +26,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from typing import TYPE_CHECKING
 
-from . import analysis, reporting, storage
+from . import reporting, storage
 from .dp import build
-from .enumerator import oracle_complexity
-from .expr import infix, postfix_emit
 from .reporting import emit_report, emit_rows, fmt_real
+
+if TYPE_CHECKING:
+    from . import analysis
 
 # Old names of build, kept only because the benchmark's tracer spans them:
 # cli.build_sieve and sieve.build_sieve (ranked builds) and cli.build_dp
@@ -48,6 +54,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .enumerator import oracle_complexity
+    from .expr import infix, postfix_emit
+
     res = oracle_complexity(args.n, ones_cap=args.max_ones)
     picks = res.shortest if args.all else [min(res.shortest, key=lambda t: (t.height, t.sort_key()))]
     if args.format == "text":
@@ -76,6 +85,8 @@ def query_rows(table, args):
     if table.has_ranks:
         r = table.rank_of(n)
     else:
+        from . import analysis
+
         r = analysis.Reconstructor(table).min_height(n)
     return ["n", "complexity", "rank"], [[n, c, r]]
 
@@ -98,6 +109,8 @@ _VERIFY_KINDS = ("pow2", "pow3", "pow235", "pow2plus1", "prime-plus1", "mersenne
 
 
 def _run_verify(table, kind: str) -> reporting.Report:
+    from . import analysis
+
     if kind in ("pow2", "pow3", "pow235"):
         return analysis.check_products(table, kind)
     if kind == "pow2plus1":
@@ -121,10 +134,14 @@ def verify_reports(table, args) -> list[reporting.Report]:
 
 
 def collapse_rows(table, args):
+    from . import analysis
+
     return _record_rows(analysis.CollapseRecord, analysis.collapse_scan(table, args.primes_below))
 
 
 def chains_rows(seq: analysis.SequenceSet, args):
+    from . import analysis
+
     recs = analysis.chain_scan(seq)
     headers = ["k", "end", "end_is_prime", "chain", "length",
                "half_prime", "third_prime", "quarter_prime"]
@@ -134,10 +151,14 @@ def chains_rows(seq: analysis.SequenceSet, args):
 
 
 def firstop_rows(table, args):
+    from . import analysis
+
     return _record_rows(analysis.FirstOpRecord, analysis.first_operation_scan(table))
 
 
 def fit_e_rows(seq: analysis.SequenceSet, args):
+    from . import analysis
+
     fit = analysis.fit_e_asymptote(seq)
     headers = ["k", "log3_value", "fitted", "residual", "slope", "intercept"]
     rows = [[k, fit.residuals[k] + fit.slope * k + fit.intercept,
@@ -147,10 +168,15 @@ def fit_e_rows(seq: analysis.SequenceSet, args):
 
 
 def top_log_rows(table, args):
+    from . import analysis
+
     return _record_rows(analysis.TopLogEntry, analysis.top_log_complexity(table, args.count))
 
 
 def expr_rows(table, args):
+    from . import analysis
+    from .expr import infix, postfix_emit
+
     tree = analysis.reconstruct(table, args.n)
     return (["n", "ones", "height", "infix", "postfix"],
             [[args.n, tree.ones, tree.height, infix(tree), postfix_emit(tree)]])
@@ -176,6 +202,8 @@ def report(table, args, seq: analysis.SequenceSet | None = None):
     one and none is passed."""
     rows, reads_seq = _ROWS[args.command]
     if reads_seq:
+        from . import analysis
+
         return rows(seq or analysis.derive_sequences(table), args)
     return rows(table, args)
 

@@ -46,7 +46,15 @@ and rank(n) = min(RS(n), RP(n)) = min(GS(n), GP(n)).  Factors lie in the
 finished prefix, so RP takes one strided pass per divisor.  Sum parts
 may lie in the block, so RS and GS are iterated there until GS stops
 changing; each estimate is the height of a real expression, so they
-only fall, to the exact values.  GS and GP take a byte each per entry.
+only fall, to the exact values.  The iteration runs over the block's
+tight sum splits, found once per block: j = 1 (37 % of n below 2M) and
+6 <= j <= top, the complexity scan's cap (the least n with such a split
+is 22,697,747).  Addends 2..5 are left out, as in the complexity scan.
+There f(j) = j, so a tight split f(n) = f(n-j) + j makes every step
+from n-j to n a tight j = 1 split (the +1 chain caps each step at one);
+the j = 1 chain then gives RS(n) <= max(GS(n-j), GS(1)) through
+GS <= RS, and GS(1) = 1 <= GS(j).  GS and GP take a byte each per
+entry.
 """
 
 from __future__ import annotations
@@ -126,15 +134,21 @@ def _rank(f: np.ndarray, gs: np.ndarray, gp: np.ndarray, lo: int, hi: int) -> No
         h[f[cof] + f[d] != blk[tgt]] = _NONE
         np.minimum(rp[tgt], h, out=rp[tgt])
     gs_blk, gp_blk = gs[lo:hi], gp[lo:hi]
-    top = _addend_top(blk, lo, hi)
+    # the block's tight sum splits, found once: j = 1 as a floor under
+    # GS(n - 1), GS(1) where tight and _NONE elsewhere; each j >= 6 as the
+    # offsets in the block of the n it splits
+    floor = np.where(f[lo - 1 : hi - 1] + 1 == blk, gs[1], np.uint8(_NONE))
+    splits = []
+    for j in range(6, _addend_top(blk, lo, hi) + 1):
+        at = np.flatnonzero(f[lo - j : hi - j] + f[j] == blk)
+        if at.size:
+            splits.append((j, at))
     rs = np.empty_like(rp)
     while True:
         before = gs_blk.copy()
-        rs[:] = _NONE
-        for j in range(1, top + 1):
-            h = np.maximum(gs[lo - j : hi - j], gs[j])
-            h[f[lo - j : hi - j] + f[j] != blk] = _NONE
-            np.minimum(rs, h, out=rs)
+        np.maximum(gs[lo - 1 : hi - 1], floor, out=rs)
+        for j, at in splits:
+            rs[at] = np.minimum(rs[at], np.maximum(gs[lo - j : hi - j][at], gs[j]))
         np.minimum(rp + 1, rs, out=gs_blk)
         np.minimum(rs + 1, rp, out=gp_blk)
         if np.array_equal(before, gs_blk):

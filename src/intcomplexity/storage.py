@@ -11,6 +11,8 @@ Layout, little-endian throughout:
                               payload covers n = 1..position, and the file
                               loads as the table of limit position
                        bits 2-3: builder tag (0 sieve, 1 dp, 2 oracle)
+                       bits 4-31: unused; a file that sets one is
+                              refused, as a later format's
     position  u64      only when flags bit 1 is set
     payload   bytes    complexity values, then rank values when flagged
     checksum  u64      zlib.crc32 of the payload; in version 1, the sum
@@ -39,6 +41,7 @@ VERSION = 2
 FLAG_RANKS = 1
 _FLAG_PARTIAL = 2
 _TAG_SHIFT = 2
+_KNOWN_FLAGS = 0xF
 _TAG_CODES = {"sieve": 0, "dp": 1, "oracle": 2}
 _TAG_NAMES = {v: k for k, v in _TAG_CODES.items()}
 
@@ -63,6 +66,10 @@ class TruncatedFileError(IcxError):
 
 
 class ChecksumError(IcxError):
+    pass
+
+
+class UnknownFlagsError(IcxError):
     pass
 
 
@@ -134,6 +141,8 @@ def load(path: str) -> ComplexityTable:
             raise BadMagicError(f"{path}: bad magic {magic!r}")
         if version not in (1, VERSION):
             raise UnsupportedVersionError(f"{path}: unsupported version {version}")
+        if flags & ~_KNOWN_FLAGS:
+            raise UnknownFlagsError(f"{path}: unknown bits in flags {flags:#x}")
         off = _HEADER.size
         partial = bool(flags & _FLAG_PARTIAL)
         with_ranks = bool(flags & FLAG_RANKS)

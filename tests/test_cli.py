@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -10,6 +12,8 @@ from intcomplexity import storage
 from intcomplexity.cli import main
 from intcomplexity.dp import build
 from intcomplexity.reporting import parse_rows
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +28,31 @@ def run(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
     return rc, out
+
+
+# a fresh interpreter runs a ranked build, prints the package modules it
+# loaded, then resolves the package's names
+_BUILD_ONLY = """
+import json, sys
+import intcomplexity
+from intcomplexity import cli
+assert cli.main(["build", "--limit", "1000", "--ranks", "--out", sys.argv[1]]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("intcomplexity."))))
+for name in ["oracle_complexity", "infix", *intcomplexity.__all__]:
+    getattr(intcomplexity, name)
+"""
+
+
+def test_build_loads_only_the_builder(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _BUILD_ONLY, str(tmp_path / "t.icx")],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "intcomplexity.dp" in loaded
+    assert not {f"intcomplexity.{m}" for m in ("analysis", "enumerator", "expr")} & set(loaded)
 
 
 def test_build_dp_and_query(tmp_path, capsys):

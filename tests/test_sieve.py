@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from golden import CHAIN4_COMPLEXITIES, CHAIN_LONG, FIRST_FIFTEEN, LEAST_BY_RANK, LEAST_VALUE
-from intcomplexity.analysis import chain_scan
+from intcomplexity.analysis import Reconstructor, chain_scan, tight_splits
 from intcomplexity.cli import main
-from intcomplexity.core import max_expressible
+from intcomplexity.core import ComplexityTable, block_width, max_expressible
 from intcomplexity.dp import build
 
 
@@ -47,6 +47,42 @@ def test_prefix_of_larger_table(sieve_5k, desk_table):
         t = build(limit, ranks=True)
         assert t.complexity == desk_table.complexity[: limit + 1], limit
         assert t.rank == desk_table.rank[: limit + 1], limit
+
+
+def test_ranks_match_reconstruction(desk_table):
+    """Ranks past the oracle's 5k agree with the recursion over tight splits
+    that ``Reconstructor`` runs on the complexities alone: on a seeded
+    sample, at both ends of every block the builder takes, and at every n
+    with a tight sum split of addend 3 or 4, which the rank pass reaches
+    only through the j = 1 chain."""
+    limit = desk_table.limit
+    f = np.frombuffer(desk_table.complexity, dtype=np.uint8)
+    ns = {int(n) for n in np.random.default_rng(2012).integers(2, limit + 1, size=300)}
+    lo = 2
+    while lo <= limit:  # the blocks of dp.build
+        hi = min(2 * lo, lo + block_width(limit), limit + 1)
+        ns |= {lo, hi - 1}
+        lo = hi
+    by_3_or_4 = set()
+    for j in (3, 4):  # n = m + j with f(m) + f(j) = f(n), m = 1 .. limit - j
+        at = np.flatnonzero(f[1 : limit + 1 - j] + f[j] == f[1 + j :])
+        by_3_or_4 |= set((at + 1 + j).tolist())
+    assert {1223, 4283, 56879, 161879} <= by_3_or_4
+    ns |= by_3_or_4
+    unranked = Reconstructor(ComplexityTable(limit=limit, complexity=desk_table.complexity))
+    expected = {n: unranked.min_height(n) for n in sorted(ns)}
+    assert {n: desk_table.rank_of(n) for n in expected} == expected
+
+
+def test_rank_through_an_addend_of_six():
+    # 22,697,747 = 22,697,741 + 6 is the least n with a tight sum split of
+    # addend 6 or more, and only that split gives its rank: without the
+    # rank pass's j >= 6 splits it comes out 9, not 5
+    n = 22_697_747
+    t = build(n, ranks=True)
+    assert [a for a, _ in tight_splits(t, n, "+")] == [1, 2, 6]
+    unranked = Reconstructor(ComplexityTable(limit=n, complexity=t.complexity))
+    assert t.rank_of(n) == unranked.min_height(n) == 5
 
 
 def test_table_recomputes_from_its_splits(desk_table):

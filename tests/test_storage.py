@@ -15,6 +15,7 @@ from intcomplexity.storage import (
     ChecksumError,
     IcxError,
     TruncatedFileError,
+    UnknownFlagsError,
     UnsupportedVersionError,
     load,
     save,
@@ -106,6 +107,18 @@ def test_unsupported_version(table, tmp_path):
     Path(path).write_bytes(blob)
     with pytest.raises(UnsupportedVersionError):
         load(path)
+
+
+@pytest.mark.parametrize("bit", [0x20, 0x80000000])
+def test_unknown_flag_bit(tmp_path, bit):
+    # a bit no reader knows, as a later format might set, is refused
+    path = tmp_path / "t.icx"
+    save(build(300), str(path))  # flags 0: unranked, tag sieve
+    blob = bytearray(path.read_bytes())
+    blob[16:20] = bit.to_bytes(4, "little")
+    path.write_bytes(blob)
+    with pytest.raises(UnknownFlagsError, match="flags"):
+        load(str(path))
 
 
 def test_bad_magic(table, tmp_path):
