@@ -149,9 +149,10 @@ def addend_bound(n: int, c_upper: int) -> int:
 def block_width(limit: int) -> int:
     """Widest block [lo, hi) that the block-wise passes take at this limit.
 
-    A block makes one numpy call per divisor d <= sqrt(hi), so a width in
-    proportion to sqrt(limit) keeps those calls a fixed share of its work;
-    small limits keep each block's temporaries near 64 KB.
+    A block makes a fixed number of numpy calls per divisor d <= sqrt(hi)
+    (one in an unranked build, three for a ranked build's keys), so a width
+    in proportion to sqrt(limit) keeps those calls a fixed share of its
+    work; small limits keep each block's temporaries near 64 KB.
     """
     return max(1 << 16, 64 * math.isqrt(limit))
 

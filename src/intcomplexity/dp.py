@@ -11,17 +11,22 @@ starts.
 * The +1 chain, f[n] <= f[n-1] + 1, is closed in one pass as a running
   minimum of f[n] - n that carries f[lo-1] in from the prefix.
 * Sum splits f[j] + f[n-j] are scanned for 6 <= j <= top, the largest
-  ``addend_bound(n, f[n])`` over the block at the *current* estimates;
-  closure and scan repeat until a round changes nothing.  Addends 2..5
-  never win: f[j] = j there, and the chain gives f[n-j] + j.
+  ``addend_bound(n, f[n])`` over the block at the *current* estimates.
+  A round closes the chain, then scans; rounds repeat until a scan
+  lowers nothing.  Addends 2..5 never win: f[j] = j there, and the chain
+  gives f[n-j] + j.
 
 Caps taken from estimates are sound.  Every estimate is the size of a
 real expression, so it is never below the true value, and a split that
 improves on an estimate c has j(n-j) <= E(f(j) + f(n-j)) <= E(c), as j
 <= E(f(j)), n-j <= E(f(n-j)) and E is supermultiplicative and monotone.
-In a round that changes nothing, the least n still too high would be
-lowered by its optimal split, whose parts are smaller and exact and
-whose addend lies within the cap; so every value is exact.
+A scan that lowers nothing leaves a fixpoint of both relaxations: the
+closure just before it is idempotent, and the scan took its cap from
+that same state.  The least n still too high would then be lowered by
+its optimal split, whose parts are smaller and exact and whose addend
+lies within the cap; so every value is exact.  Below 353,942,783 no
+complexity needs a sum with j >= 6, so products and the chain are
+already exact there and every block settles in one round.
 
 Checkpoints land at every multiple of ``checkpoint_every`` below the
 limit, where blocks are cut.  A checkpoint is the table of the finished
@@ -43,10 +48,20 @@ splits occur.  For n >= 2:
 * GP(n) = min(1 + RS(n), RP(n)), the same for a product factor;
 
 and rank(n) = min(RS(n), RP(n)) = min(GS(n), GP(n)).  Factors lie in the
-finished prefix, so RP takes one strided pass per divisor.  Sum parts
-may lie in the block, so RS and GS are iterated there until GS stops
-changing; each estimate is the height of a real expression, so they
-only fall, to the exact values.  The iteration runs over the block's
+finished prefix, so a ranked build finds RP in the product pass itself.
+Each split d*e is relaxed as the 16-bit key (f(d) + f(e)) << 8 |
+max(GP(d), GP(e)), and n keeps its least key, whose high byte is the
+product estimate.  The least key has the least product complexity and,
+among those, the least height; once f(n) is settled, the splits whose
+complexity reaches it are exactly the tight ones.  So RP(n) is the low
+byte where the high byte equals f(n), and _NONE elsewhere.  Heights stay
+below 128 and complexity sums below 255, so each fits its byte, and the
+empty key 0xFFFF reads as MAX_COMPLEXITY.  Unranked builds relax the
+complexity bytes alone, at about half the cost.
+
+Sum parts may lie in the block, so RS and GS are iterated there until
+GS stops changing; each estimate is the height of a real expression, so
+they only fall, to the exact values.  The iteration runs over the block's
 tight sum splits, found once per block: j = 1 (37 % of n below 2M) and
 6 <= j <= top, the complexity scan's cap (the least n with such a split
 is 22,697,747).  Addends 2..5 are left out, as in the complexity scan.
@@ -107,32 +122,50 @@ def _addend_top(blk: np.ndarray, lo: int, hi: int) -> int:
     return top
 
 
-def _settle(f: np.ndarray, lo: int, hi: int) -> None:
-    """Final complexities of [lo, hi), given the finished prefix f[:lo]."""
+def _settle(f: np.ndarray, lo: int, hi: int, gp: np.ndarray | None = None) -> np.ndarray | None:
+    """Final complexities of [lo, hi), given the finished prefix f[:lo].
+
+    With the prefix's GP column ``gp``, products are relaxed as keys and
+    the block's RP is returned (see the module docstring).
+    """
     blk = f[lo:hi]
-    blk[:] = MAX_COMPLEXITY
-    for d, tgt, cof in product_slices(lo, hi):
-        np.minimum(blk[tgt], f[cof] + f[d], out=blk[tgt])
+    if gp is None:
+        blk[:] = MAX_COMPLEXITY
+        for d, tgt, cof in product_slices(lo, hi):
+            np.minimum(blk[tgt], f[cof] + f[d], out=blk[tgt])
+    else:
+        # little-endian keys: byte 1 is the complexity sum, byte 0 the height
+        key = np.full(hi - lo, 0xFFFF, dtype="<u2")
+        buf = np.empty((hi - lo + 1) // 2, dtype="<u2")
+        for d, tgt, cof in product_slices(lo, hi):
+            part = buf[: cof.stop - cof.start]
+            byte = part.view(np.uint8)
+            np.add(f[cof], f[d], out=byte[1::2])
+            np.maximum(gp[cof], gp[d], out=byte[::2])
+            np.minimum(key[tgt], part, out=key[tgt])
+        key = key.view(np.uint8)
+        blk[:] = key[1::2]
     offset = np.arange(hi - lo + 1, dtype=np.int32)
     while True:
-        before = blk.copy()
         # +1 chain: running minimum of f[n] - n, carried in from f[lo - 1]
         run = np.minimum.accumulate(np.r_[f[lo - 1], blk] - offset) + offset
         blk[:] = run[1:]  # never above blk: the minimum includes n itself
+        before = blk.copy()  # closed; if the scan keeps it, it is final
         for j in range(6, _addend_top(blk, lo, hi) + 1):
             np.minimum(blk, f[lo - j : hi - j] + f[j], out=blk)
         if np.array_equal(before, blk):
-            return
+            break
+    if gp is None:
+        return None
+    return np.where(key[1::2] == blk, key[::2], np.uint8(_NONE))
 
 
-def _rank(f: np.ndarray, gs: np.ndarray, gp: np.ndarray, lo: int, hi: int) -> None:
-    """GS and GP of [lo, hi) from final complexities (see the module docstring)."""
+def _rank(
+    f: np.ndarray, gs: np.ndarray, gp: np.ndarray, rp: np.ndarray, lo: int, hi: int
+) -> None:
+    """GS and GP of [lo, hi) from final complexities and the block's RP (see
+    the module docstring)."""
     blk = f[lo:hi]
-    rp = np.full(hi - lo, _NONE, dtype=np.uint8)
-    for d, tgt, cof in product_slices(lo, hi):
-        h = np.maximum(gp[cof], gp[d])
-        h[f[cof] + f[d] != blk[tgt]] = _NONE
-        np.minimum(rp[tgt], h, out=rp[tgt])
     gs_blk, gp_blk = gs[lo:hi], gp[lo:hi]
     # the block's tight sum splits, found once: j = 1 as a floor under
     # GS(n - 1), GS(1) where tight and _NONE elsewhere; each j >= 6 as the
@@ -195,9 +228,9 @@ def build(
         hi = min(2 * lo, lo + width, limit + 1)
         if checkpoint_every:
             hi = min(hi, -(-lo // checkpoint_every) * checkpoint_every + 1)
-        _settle(f, lo, hi)
+        rp = _settle(f, lo, hi, gp)
         if ranks:
-            _rank(f, gs, gp, lo, hi)
+            _rank(f, gs, gp, rp, lo, hi)
         if checkpoint_every and (hi - 1) % checkpoint_every == 0 and hi - 1 < limit:
             storage.save_checkpoint(out, memoryview(f)[:hi])
         lo = hi

@@ -10,10 +10,11 @@ json, because ``-0`` would parse back as the int 0.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 from dataclasses import dataclass, field
+
+# csv and json are imported where a format needs them: ``build`` loads this
+# module through ``cli`` but writes no report
 
 FORMATS = ("text", "csv", "json")
 
@@ -54,6 +55,8 @@ class Report:
 
 def emit_rows(headers: list[str], rows: list[list], fmt: str) -> str:
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(headers)
@@ -61,6 +64,8 @@ def emit_rows(headers: list[str], rows: list[list], fmt: str) -> str:
             w.writerow([_cell(v) for v in row])
         return buf.getvalue()
     if fmt == "json":
+        import json
+
         payload = [dict(zip(headers, (_json_value(v) for v in row))) for row in rows]
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "text":
@@ -79,11 +84,15 @@ def emit_rows(headers: list[str], rows: list[list], fmt: str) -> str:
 def parse_rows(text: str, fmt: str) -> tuple[list[str], list[list]]:
     """Inverse of emit_rows up to cell typing (int/float/bool inferred)."""
     if fmt == "csv":
+        import csv
+
         rows = list(csv.reader(io.StringIO(text)))
         if not rows:
             raise ValueError("empty csv report")
         return rows[0], [[_infer(c) for c in row] for row in rows[1:]]
     if fmt == "json":
+        import json
+
         payload = json.loads(text)
         if not payload:
             return [], []
@@ -111,6 +120,8 @@ def _infer(cell: str):
 
 def emit_report(report: Report, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         payload = {
             "name": report.name,
             "passed": report.passed,

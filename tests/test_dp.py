@@ -142,30 +142,27 @@ def test_ranks_are_not_checkpointed(tmp_path):
     assert not os.path.exists(tmp_path / "c.icx")
 
 
-def _raised_prefix(f, rng):
-    """f exact below 40 and at one random anchor in every 40 entries, and
-    elsewhere the +1-chain bound from the anchor below: never below f,
-    closed under the +1 chain, and at most 127."""
+def _raised_prefix(f, anchors):
+    """f exact below 40 and at the anchors, and elsewhere the +1-chain bound
+    from the entry below, capped at 127: never below f and closed under the
+    +1 chain."""
     g = list(f)
-    anchors = {40 * i + rng.randrange(40) for i in range(1, len(f) // 40 + 1)}
     for n in range(40, len(f)):
         if n not in anchors:
-            g[n] = g[n - 1] + 1
+            g[n] = min(g[n - 1] + 1, 127)
     return g
 
 
-@pytest.mark.parametrize("lo", [1000, 3000])
-def test_sum_scan_on_raised_prefix(tmp_path, lo):
-    # Below 353,942,783 no true complexity needs a sum with j >= 6, so only
-    # a raised prefix exercises that scan: the block [lo, 2*lo) must match
-    # the uncapped recurrence over the same prefix.
-    g = _raised_prefix(build(lo - 1).complexity, random.Random(lo))
-    assert max(g) <= 127
+def _check_block_over(tmp_path, g):
+    """Build the block [lo, 2*lo) over the prefix g, lo = len(g), and check
+    it against the uncapped recurrence over the same prefix.  Returns how
+    many entries only a sum with j >= 6 decides."""
+    lo = len(g)
     path = str(tmp_path / "p.icx")
     storage.save(ComplexityTable(limit=lo - 1, complexity=bytes(g)), path)
     got = build(2 * lo - 1, resume=path).complexity
     ref = np.array(g + [0] * lo, dtype=np.int64)
-    by_large_sum = 0  # entries decided only by a sum with j >= 6
+    by_large_sum = 0
     for n in range(lo, 2 * lo):
         sums = ref[1 : n // 2 + 1] + ref[n - 1 : n - n // 2 - 1 : -1]  # j = 1 .. n // 2
         prods = [ref[d] + ref[n // d] for d in range(2, math.isqrt(n) + 1) if n % d == 0]
@@ -173,4 +170,20 @@ def test_sum_scan_on_raised_prefix(tmp_path, lo):
         by_large_sum += bool(sums[5:].min() < min([sums[:5].min(), *prods]))
     assert bytes(got[:lo]) == bytes(g)
     assert list(got[lo:]) == ref[lo:].tolist()
-    assert by_large_sum > 0
+    return by_large_sum
+
+
+@pytest.mark.parametrize("lo", [1000, 3000])
+def test_sum_scan_on_raised_prefix(tmp_path, lo):
+    # Below 353,942,783 no true complexity needs a sum with j >= 6, so only
+    # a raised prefix exercises that scan.
+    rng = random.Random(lo)
+    anchors = {40 * i + rng.randrange(40) for i in range(1, lo // 40 + 1)}
+    assert _check_block_over(tmp_path, _raised_prefix(build(lo - 1).complexity, anchors)) > 0
+
+
+def test_sum_scan_repeats_until_nothing_lowers(tmp_path):
+    # Exact only below 40 and at 1700: the scan lowers 3436 = 36 + 2*1700 at
+    # j = 36, after that step has read 3436, and 72 is raised, so only a
+    # second scan lowers 3472 = 36 + 3436.
+    assert _check_block_over(tmp_path, _raised_prefix(build(1736).complexity, {1700})) > 0

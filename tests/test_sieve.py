@@ -49,6 +49,14 @@ def test_prefix_of_larger_table(sieve_5k, desk_table):
         assert t.rank == desk_table.rank[: limit + 1], limit
 
 
+def test_ranked_and_unranked_complexities_agree(desk_table):
+    # a ranked build reads its complexities off the high bytes of the
+    # product keys, an unranked one relaxes the complexity bytes alone
+    limit = 2**17 + 2**16 + 5
+    assert build(limit, ranks=True).complexity == build(limit).complexity
+    assert build(desk_table.limit).complexity == desk_table.complexity
+
+
 def test_ranks_match_reconstruction(desk_table):
     """Ranks past the oracle's 5k agree with the recursion over tight splits
     that ``Reconstructor`` runs on the complexities alone: on a seeded
