@@ -12,6 +12,7 @@ n = p * q with f(p) + f(q) = f(n).  Reconstruction and the
 first-operation classification both read it: ``Reconstructor`` runs one
 height recursion with the operation as its argument, which is a few
 frames per unit of f(n) deep, so it needs no raised recursion limit.
+Only its tree builders import ``expr``, on first use.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,11 +33,13 @@ from .core import (
     log_complexity,
     max_expressible,
     mersenne_upper_bound,
-    product_slices,
+    product_minima,
 )
-from .expr import ExprTree, ONE, add, mul
 from .primality import is_prime, primes_up_to
 from .reporting import Report
+
+if TYPE_CHECKING:
+    from .expr import ExprTree
 
 _DEFECT_RANK_COEF = 1.0 + 3.0 * math.log(6.0 / 7.0) / LN3
 _REAL_TOL = 1e-9
@@ -50,7 +54,7 @@ def _rank_array(t: ComplexityTable) -> np.ndarray:
 
 
 def _provenance(t: ComplexityTable) -> dict:
-    return {"limit": t.limit, "algorithm": t.algorithm_tag}
+    return {"limit": t.limit}
 
 
 # -- derived sequences -------------------------------------------------
@@ -67,7 +71,6 @@ class SequenceSet:
     """
 
     limit: int
-    algorithm_tag: str
     smallest: dict[int, int]
     largest: dict[int, int]
     second_largest: dict[int, int]
@@ -137,7 +140,6 @@ def derive_sequences(t: ComplexityTable) -> SequenceSet:
 
     return SequenceSet(
         limit=t.limit,
-        algorithm_tag=t.algorithm_tag,
         smallest=smallest,
         largest=largest,
         second_largest=top2,
@@ -151,7 +153,6 @@ def derive_sequences(t: ComplexityTable) -> SequenceSet:
 # -- reconstruction ----------------------------------------------------
 
 _OTHER = {"+": "*", "*": "+"}
-_NODE = {"+": add, "*": mul}
 
 
 def tight_splits(t: ComplexityTable, n: int, op: str) -> list[tuple[int, int]]:
@@ -245,6 +246,8 @@ class Reconstructor:
 
     def _inner_pieces(self, n: int, op: str) -> list[ExprTree]:
         if n == 1:
+            from .expr import ONE
+
             return [ONE]
         h = self.inner_h(n, op)
         if self.root_h(n, _OTHER[op]) == h:
@@ -253,10 +256,14 @@ class Reconstructor:
 
     def tree(self, n: int, op: str) -> ExprTree:
         """The least-height shortest op-rooted expression of n."""
-        return _NODE[op](self._pieces(n, op, self.root_h(n, op) - 1))
+        from .expr import add, mul
+
+        return (add if op == "+" else mul)(self._pieces(n, op, self.root_h(n, op) - 1))
 
     def tree_min_height(self, n: int) -> ExprTree:
         if n == 1:
+            from .expr import ONE
+
             return ONE
         return self.tree(n, "*" if self.root_h(n, "*") <= self.root_h(n, "+") else "+")
 
@@ -512,21 +519,23 @@ def first_operation_scan(t: ComplexityTable) -> list[FirstOpRecord]:
     """All n whose optimum forces a first subtraction of 6 or more.
 
     Works in blocks of ``block_width(limit)``.  In each block numpy marks
-    the n that a +1 split settles, f(n) = f(n-1) + 1, and the n that a
-    product split settles, f(d) + f(n/d) = f(n) for some 2 <= d <= sqrt(n),
-    one strided slice per d; only the unmarked survivors are classified
-    one by one.  The records, their fields and their order are those of
-    classifying every n with f(n) != f(n-1) + 1.  Empty at any limit below
-    the first sum-necessary number.
+    the n that a +1 split settles, f(n) = f(n-1) + 1, and takes the least
+    product split f(d) + f(n/d) of each n (``core.product_minima``), which
+    settles n when it equals f(n); only the survivors of both are
+    classified one by one.  On a table whose values contradict each other
+    the least product can fall below f(n) and keep more survivors, but the
+    classification re-tests each.  The records, their fields and their
+    order are those of classifying every n with f(n) != f(n-1) + 1.  Empty
+    at any limit below the first sum-necessary number.
     """
     c = _comp_array(t)  # at most 127 (see ComplexityTable), so no sum wraps
     width = block_width(t.limit)
+    products = np.empty(width, dtype=np.uint8)
     out = []
     for lo in range(2, t.limit + 1, width):
         hi = min(lo + width, t.limit + 1)
-        survivors = c[lo:hi] != c[lo - 1 : hi - 1] + 1
-        for d, tgt, cof in product_slices(lo, hi):
-            survivors[tgt] &= c[cof] + c[d] != c[lo:hi][tgt]
+        least = product_minima(c, lo, hi, products[: hi - lo])
+        survivors = (c[lo:hi] != c[lo - 1 : hi - 1] + 1) & (least != c[lo:hi])
         for n in np.flatnonzero(survivors) + lo:
             rec = classify_first_operation(t, int(n))
             if rec.classification not in ("product", "sub1"):

@@ -92,7 +92,7 @@ def query_rows(table, args):
 
 
 def seq_rows(seq: analysis.SequenceSet, args):
-    headers = ["sequence", "k", "value", "reliable", "limit", "algorithm"]
+    headers = ["sequence", "k", "value", "reliable", "limit"]
     rows: list[list] = []
     for name, values, reliable in (
         ("smallest", seq.smallest, seq.reliable_smallest_max),
@@ -101,7 +101,7 @@ def seq_rows(seq: analysis.SequenceSet, args):
         ("rank_first", seq.rank_firsts or {}, seq.reliable_rank_max or 0),
     ):
         for k in sorted(values):
-            rows.append([name, k, values[k], k <= reliable, seq.limit, seq.algorithm_tag])
+            rows.append([name, k, values[k], k <= reliable, seq.limit])
     return headers, rows
 
 

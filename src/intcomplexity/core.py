@@ -5,8 +5,8 @@ arithmetic expression for it over {1, +, *} (OEIS A005245).  Everything
 else in the package is built on the exact bounds and closed forms here:
 the 3*log3 lower bound, the largest-value-per-ones sequence (A000792),
 the integer logarithm (A001414), logarithmic complexity, defect, the
-smallest-addend bound used by the builders, and the block geometry of
-product splits that the builder and the first-operation scan share.
+smallest-addend bound used by the builders, and the block geometry and
+product relaxation that the builder and the first-operation scan share.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 from .primality import factorize
 
 LN3 = math.log(3.0)
-
-ALGORITHM_TAGS = ("sieve", "dp", "oracle")
 
 # widest value the one-byte table layout can hold
 MAX_COMPLEXITY = 255
@@ -169,6 +167,21 @@ def product_slices(lo: int, hi: int):
             yield d, slice(first - lo, hi - lo, d), slice(first // d, (hi - 1) // d + 1)
 
 
+def product_minima(c: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Least c[d] + c[n/d] over the product splits of each n in [lo, hi),
+    into the uint8 array ``out`` of length hi - lo, and MAX_COMPLEXITY
+    where n has none.
+
+    Cofactors e = n/d are read from c as ``out`` is written, so ``out``
+    may be c[lo:hi] itself when every e < lo, as when hi <= 2*lo.  Values
+    of c up to MAX_STORED keep every sum inside a uint8.
+    """
+    out[:] = MAX_COMPLEXITY
+    for d, tgt, cof in product_slices(lo, hi):
+        np.minimum(out[tgt], c[cof] + c[d], out=out[tgt])
+    return out
+
+
 def check_stored(complexity) -> None:
     """Refuse a complexity column (any buffer) holding a value above MAX_STORED."""
     top = int(np.frombuffer(complexity, dtype=np.uint8).max())
@@ -203,20 +216,19 @@ class ComplexityTable:
     ``complexity`` (and ``rank`` when present) are byte strings of length
     limit + 1 with index 0 unused, so the value for n sits at index n;
     ``storage.load`` gives read-only memoryviews, which compare equal to
-    the same bytes.  No complexity exceeds MAX_STORED.  Immutable after
+    the same bytes.  No complexity exceeds MAX_STORED.  A table is its
+    values: it records no builder, and ``storage.save`` writes these
+    bytes behind a header of limit and flags.  Immutable after
     construction; safe to share between threads.
     """
 
     limit: int
     complexity: bytes
     rank: bytes | None = None
-    algorithm_tag: str = "sieve"
 
     def __post_init__(self) -> None:
         if self.limit < 1:
             raise ValueError(f"limit must be >= 1, got {self.limit}")
-        if self.algorithm_tag not in ALGORITHM_TAGS:
-            raise ValueError(f"unknown algorithm tag {self.algorithm_tag!r}")
         if len(self.complexity) != self.limit + 1:
             raise ValueError(
                 f"complexity array has {len(self.complexity)} bytes, "

@@ -85,6 +85,7 @@ from .core import (
     addend_bound,
     block_width,
     max_expressible,
+    product_minima,
     product_slices,
 )
 from . import storage
@@ -130,9 +131,7 @@ def _settle(f: np.ndarray, lo: int, hi: int, gp: np.ndarray | None = None) -> np
     """
     blk = f[lo:hi]
     if gp is None:
-        blk[:] = MAX_COMPLEXITY
-        for d, tgt, cof in product_slices(lo, hi):
-            np.minimum(blk[tgt], f[cof] + f[d], out=blk[tgt])
+        product_minima(f, lo, hi, out=blk)
     else:
         # little-endian keys: byte 1 is the complexity sum, byte 0 the height
         key = np.full(hi - lo, 0xFFFF, dtype="<u2")
@@ -241,7 +240,7 @@ def build(
         gs[:2] = 0
         rank = gs.tobytes()
         del gs
-    table = ComplexityTable(limit=limit, complexity=f.tobytes(), rank=rank, algorithm_tag="sieve")
+    table = ComplexityTable(limit=limit, complexity=f.tobytes(), rank=rank)
     if out:
         storage.save(table, out)
     return table

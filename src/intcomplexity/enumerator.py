@@ -260,6 +260,4 @@ def oracle_table(limit: int) -> ComplexityTable:
     for v in range(2, limit + 1):
         comp[v] = eng.ones[v]
         rank[v] = eng.min_height(v)
-    return ComplexityTable(
-        limit=limit, complexity=bytes(comp), rank=bytes(rank), algorithm_tag="oracle"
-    )
+    return ComplexityTable(limit=limit, complexity=bytes(comp), rank=bytes(rank))

@@ -3,21 +3,18 @@
 Layout, little-endian throughout:
 
     magic     4 bytes  b"ICX1"
-    version   u32      2 (version 1 files are still read)
+    version   u32      2
     limit     u64      table size n = 1..limit
     flags     u32      bit 0: rank section present
-                       bit 1: read only, carried by older checkpoints: a
-                              u64 position field follows the header, the
-                              payload covers n = 1..position, and the file
-                              loads as the table of limit position
-                       bits 2-3: builder tag (0 sieve, 1 dp, 2 oracle)
-                       bits 4-31: unused; a file that sets one is
-                              refused, as a later format's
-    position  u64      only when flags bit 1 is set
+                       bits 1-31: unused; a file that sets one is refused
     payload   bytes    complexity values, then rank values when flagged
-    checksum  u64      zlib.crc32 of the payload; in version 1, the sum
-                       of the payload bytes mod 2**64, which misses
-                       reordered bytes
+    checksum  u64      zlib.crc32 of the payload
+
+A file is its table's bytes and records no builder.  Older layouts are
+refused, and rebuilding the table with ``intcomplexity build`` replaces
+them: version 1 (a byte-sum checksum) raises UnsupportedVersionError; a
+partial checkpoint (flags bit 1, with a position field) or a table
+tagged ``dp`` or ``oracle`` (flags bits 2-3) raises UnknownFlagsError.
 
 A checkpoint is the unranked table of a build's finished prefix, byte
 for byte the file a build to that limit writes.  Writes go to a
@@ -32,18 +29,11 @@ import struct
 import tempfile
 import zlib
 
-import numpy as np
-
 from .core import ComplexityTable
 
 MAGIC = b"ICX1"
 VERSION = 2
 FLAG_RANKS = 1
-_FLAG_PARTIAL = 2
-_TAG_SHIFT = 2
-_KNOWN_FLAGS = 0xF
-_TAG_CODES = {"sieve": 0, "dp": 1, "oracle": 2}
-_TAG_NAMES = {v: k for k, v in _TAG_CODES.items()}
 
 _HEADER = struct.Struct("<4sIQI")
 _U64 = struct.Struct("<Q")
@@ -81,11 +71,6 @@ def _checksum(*parts) -> int:
     return crc
 
 
-def _byte_sum(*parts) -> int:
-    """The version 1 checksum: sum of the payload bytes mod 2**64."""
-    return sum(int(np.frombuffer(p, dtype=np.uint8).sum(dtype=np.uint64)) for p in parts) % 2**64
-
-
 def _atomic_write(path: str, head: bytes, *payload) -> None:
     """Write head, the payload buffers and their checksum, without joining them."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -103,7 +88,6 @@ def _atomic_write(path: str, head: bytes, *payload) -> None:
 
 def _write(table: ComplexityTable, path: str) -> None:
     flags = FLAG_RANKS if table.rank is not None else 0
-    flags |= _TAG_CODES[table.algorithm_tag] << _TAG_SHIFT
     payload = [memoryview(table.complexity)[1:]]
     if table.rank is not None:
         payload.append(memoryview(table.rank)[1:])
@@ -130,7 +114,7 @@ def _read_column(fh, section: int) -> memoryview:
 
 
 def load(path: str) -> ComplexityTable:
-    """Read a table file; an older partial file is the table of its prefix."""
+    """Read a table file; see the module docstring for the files refused."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(_HEADER.size)
@@ -139,27 +123,14 @@ def load(path: str) -> ComplexityTable:
         magic, version, limit, flags = _HEADER.unpack(head)
         if magic != MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}")
-        if version not in (1, VERSION):
+        if version != VERSION:
             raise UnsupportedVersionError(f"{path}: unsupported version {version}")
-        if flags & ~_KNOWN_FLAGS:
+        if flags & ~FLAG_RANKS:
             raise UnknownFlagsError(f"{path}: unknown bits in flags {flags:#x}")
-        off = _HEADER.size
-        partial = bool(flags & _FLAG_PARTIAL)
-        with_ranks = bool(flags & FLAG_RANKS)
-        if partial and with_ranks:
-            raise IcxError(f"{path}: partial files cannot carry a rank section")
         if limit < 1:
             raise IcxError(f"{path}: nonsensical limit {limit}")
-        if partial:
-            field = fh.read(8)
-            if len(field) < 8:
-                raise TruncatedFileError(f"{path}: missing position field")
-            position = _U64.unpack(field)[0]
-            off += 8
-            if not 1 <= position <= limit:
-                raise IcxError(f"{path}: position {position} outside [1, {limit}]")
-            limit = position
-        expected = off + limit * (2 if with_ranks else 1) + 8
+        with_ranks = bool(flags & FLAG_RANKS)
+        expected = _HEADER.size + limit * (2 if with_ranks else 1) + 8
         if size != expected:
             raise TruncatedFileError(f"{path}: {size} bytes, expected {expected}")
         comp = _read_column(fh, limit)
@@ -170,13 +141,10 @@ def load(path: str) -> ComplexityTable:
     if len(tail) < 8:
         raise TruncatedFileError(f"{path}: shorter than {expected} bytes while read")
     payload = [c[1:] for c in (comp, rank) if c is not None]
-    if (_checksum if version == VERSION else _byte_sum)(*payload) != _U64.unpack(tail)[0]:
+    if _checksum(*payload) != _U64.unpack(tail)[0]:
         raise ChecksumError(f"{path}: checksum mismatch")
-    tag = _TAG_NAMES.get((flags >> _TAG_SHIFT) & 0x3)
-    if tag is None:
-        raise IcxError(f"{path}: unknown builder tag in flags {flags:#x}")
     try:
-        return ComplexityTable(limit=limit, complexity=comp, rank=rank, algorithm_tag=tag)
+        return ComplexityTable(limit=limit, complexity=comp, rank=rank)
     except ValueError as exc:  # a valid checksum over values no build writes
         raise IcxError(str(exc)) from exc
 

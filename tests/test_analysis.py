@@ -147,9 +147,7 @@ def test_power_checks_pass(sieve_50k):
 def test_power_checks_catch_errors(sieve_50k):
     comp = bytearray(sieve_50k.complexity)
     comp[64] = 13  # pretend 2^6 needs 13 ones
-    broken = an.ComplexityTable(
-        limit=sieve_50k.limit, complexity=bytes(comp), algorithm_tag="sieve"
-    )
+    broken = an.ComplexityTable(limit=sieve_50k.limit, complexity=bytes(comp))
     rep = an.check_products(broken, "pow2")
     assert not rep.passed
     assert {"n": 64, "expected": 12, "actual": 13} in rep.counterexamples
@@ -172,9 +170,7 @@ def test_defect_rank(sieve_50k):
     rep = an.check_defect_rank(sieve_50k)
     assert rep.passed and rep.details["violations"] == 0
     with pytest.raises(ValueError):
-        an.check_defect_rank(
-            an.ComplexityTable(limit=2, complexity=b"\x00\x01\x02", algorithm_tag="dp")
-        )
+        an.check_defect_rank(an.ComplexityTable(limit=2, complexity=b"\x00\x01\x02"))
 
 
 def test_defect_rank_example_values(sieve_50k):
@@ -249,7 +245,7 @@ def _perturbed(t, seed=0, count=200):
         comp[p] -= 1
     for n in rng.sample(range(20, t.limit + 1), count):
         comp[n] -= 2
-    return ComplexityTable(limit=t.limit, complexity=bytes(comp), algorithm_tag=t.algorithm_tag)
+    return ComplexityTable(limit=t.limit, complexity=bytes(comp))
 
 
 @pytest.mark.parametrize("width", [None, 777])
@@ -294,7 +290,6 @@ def test_fit_collinear_points():
     smallest = {k: 3 ** (2 * k) for k in range(1, 13)}  # log3 = 2k exactly
     seq = an.SequenceSet(
         limit=10**12,
-        algorithm_tag="dp",
         smallest=smallest,
         largest={},
         second_largest={},

@@ -55,6 +55,29 @@ def test_build_loads_only_the_builder(tmp_path):
     assert not {f"intcomplexity.{m}" for m in ("analysis", "enumerator", "expr")} & set(loaded)
 
 
+# a fresh interpreter runs table-reading subcommands, then prints the
+# package modules they loaded
+_READ_ONLY = """
+import json, sys
+from intcomplexity import cli
+for argv in (["seq"], ["firstop"], ["verify", "all"]):
+    assert cli.main([*argv, "--table", sys.argv[1]]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("intcomplexity."))))
+"""
+
+
+def test_table_reports_leave_out_expression_trees(table_file):
+    proc = subprocess.run(
+        [sys.executable, "-c", _READ_ONLY, table_file],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "intcomplexity.analysis" in loaded
+    assert "intcomplexity.expr" not in loaded
+
+
 def test_build_dp_and_query(tmp_path, capsys):
     path = str(tmp_path / "dp.icx")
     rc, _ = run(capsys, ["build", "--algo", "dp", "--limit", "2000", "--out", path])
@@ -132,9 +155,7 @@ def test_verify_pass_and_fail(table_file, tmp_path, capsys):
     t = storage.load(table_file)
     comp = bytearray(t.complexity)
     comp[64] = 13
-    broken = storage.ComplexityTable(
-        limit=t.limit, complexity=bytes(comp), rank=t.rank, algorithm_tag=t.algorithm_tag
-    )
+    broken = storage.ComplexityTable(limit=t.limit, complexity=bytes(comp), rank=t.rank)
     bad_path = str(tmp_path / "broken.icx")
     storage.save(broken, bad_path)
     rc, out = run(capsys, ["verify", "pow2", "--table", bad_path])
@@ -153,7 +174,7 @@ def test_seq_csv_roundtrip(table_file, capsys):
     rc, out = run(capsys, ["seq", "--table", table_file, "--format", "csv"])
     assert rc == 0
     headers, rows = parse_rows(out, "csv")
-    assert headers == ["sequence", "k", "value", "reliable", "limit", "algorithm"]
+    assert headers == ["sequence", "k", "value", "reliable", "limit"]
     small = {r[1]: r[2] for r in rows if r[0] == "smallest"}
     assert small[11] == 23
     from intcomplexity.reporting import emit_rows
@@ -250,27 +271,21 @@ def test_resume_bad_checkpoint(tmp_path, capsys):
 
 
 def test_resume_refuses_values_above_127(tmp_path, capsys):
-    # files with a valid CRC and f(2) = f(500) = 128 or 130, as a finished
-    # table and as an older partial file: 130 + 130 wraps in a uint8 sum
-    from test_storage import old_partial
-
+    # a table file with a valid CRC and f(2) = f(500) = 128 or 130: 130 +
+    # 130 wraps in a uint8 sum
     table = build(999)
     out = str(tmp_path / "t.icx")
+    path = tmp_path / "table.icx"
     for value in (128, 130):
-        for name in ("table", "partial"):
-            path = tmp_path / f"{name}.icx"
-            if name == "table":
-                storage.save(table, str(path))
-            else:
-                path.write_bytes(old_partial(1999, table.complexity))
-            blob = bytearray(path.read_bytes())
-            start = len(blob) - 8 - 999  # the byte of n = 1
-            blob[start + 1] = blob[start + 499] = value
-            blob[-8:] = zlib.crc32(blob[start:-8]).to_bytes(8, "little")
-            path.write_bytes(blob)
-            assert main(["build", "--resume", str(path), "--limit", "1999", "--out", out]) == 2
-            assert f"complexity value {value} above 127" in capsys.readouterr().err
-            assert not os.path.exists(out)
+        storage.save(table, str(path))
+        blob = bytearray(path.read_bytes())
+        start = len(blob) - 8 - 999  # the byte of n = 1
+        blob[start + 1] = blob[start + 499] = value
+        blob[-8:] = zlib.crc32(blob[start:-8]).to_bytes(8, "little")
+        path.write_bytes(blob)
+        assert main(["build", "--resume", str(path), "--limit", "1999", "--out", out]) == 2
+        assert f"complexity value {value} above 127" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def test_text_renderers(table_file, capsys):
@@ -288,7 +303,7 @@ def test_text_renderers(table_file, capsys):
     assert lines("firstop")[-1] == "0 forced-subtraction number(s) at limit 30000"
     assert re.fullmatch(r"slope \S+, intercept \S+, range \d+\.\.\d+", lines("fit-e")[0])
     for argv, headers in (
-        (["seq"], "sequence k value reliable limit algorithm"),
+        (["seq"], "sequence k value reliable limit"),
         (["collapse", "--primes-below", "50"],
          "p collapses_at checked_up_to complexity rank log_complexity"),
         (["top-log", "--count", "5"], "n complexity log_complexity rank unique"),

@@ -162,11 +162,9 @@ def test_is_power_of_3():
 
 def test_table_validation():
     with pytest.raises(ValueError):
-        ComplexityTable(limit=2, complexity=b"\x00\x01", algorithm_tag="sieve")
+        ComplexityTable(limit=2, complexity=b"\x00\x01")
     with pytest.raises(ValueError):
-        ComplexityTable(limit=2, complexity=b"\x00\x01\x02", algorithm_tag="wat")
-    with pytest.raises(ValueError):
-        ComplexityTable(limit=2, complexity=b"\x00\x02\x02", algorithm_tag="dp")
+        ComplexityTable(limit=2, complexity=b"\x00\x02\x02")
 
 
 def test_table_accessors(sieve_5k):

@@ -44,7 +44,6 @@ def test_least_value_44_is_prime():
 def test_first_fifteen():
     t = build(15)
     assert [t.value(n) for n in range(1, 16)] == FIRST_FIFTEEN
-    assert t.algorithm_tag == "sieve"
     assert not t.has_ranks
 
 

@@ -82,9 +82,3 @@ def test_oracle_table_matches_single_calls():
         res = oracle_complexity(n)
         assert tab.value(n) == res.complexity
         assert tab.rank_of(n) == res.min_height
-
-
-def test_oracle_table_tag():
-    tab = oracle_table(10)
-    assert tab.algorithm_tag == "oracle"
-    assert tab.has_ranks

@@ -1,5 +1,4 @@
 import os
-import struct
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -34,7 +33,6 @@ def test_roundtrip_with_ranks(table, tmp_path):
     assert got.limit == table.limit
     assert got.complexity == table.complexity
     assert got.rank == table.rank
-    assert got.algorithm_tag == table.algorithm_tag
 
 
 def test_roundtrip_without_ranks(tmp_path):
@@ -85,35 +83,24 @@ def test_swapped_payload_bytes(table, tmp_path):
         load(path)
 
 
-def test_reads_version_1(table, tmp_path):
-    # version 1: the same layout with a byte-sum checksum
-    payload = table.complexity[1:] + table.rank[1:]
-    head = b"ICX1" + struct.pack("<IQI", 1, table.limit, 1)
-    path = str(tmp_path / "v1.icx")
-    Path(path).write_bytes(head + payload + struct.pack("<Q", sum(payload)))
-    assert load(path) == table
-    blob = bytearray(Path(path).read_bytes())
-    blob[30] ^= 0x01
-    Path(path).write_bytes(blob)
-    with pytest.raises(ChecksumError):
-        load(path)
-
-
 def test_unsupported_version(table, tmp_path):
+    # version 1, the older byte-sum layout, or a later version
     path = str(tmp_path / "t.icx")
-    save(table, path)
-    blob = bytearray(Path(path).read_bytes())
-    blob[4] = 3
-    Path(path).write_bytes(blob)
-    with pytest.raises(UnsupportedVersionError):
-        load(path)
+    for version in (1, 3):
+        save(table, path)
+        blob = bytearray(Path(path).read_bytes())
+        blob[4] = version
+        Path(path).write_bytes(blob)
+        with pytest.raises(UnsupportedVersionError):
+            load(path)
 
 
-@pytest.mark.parametrize("bit", [0x20, 0x80000000])
+@pytest.mark.parametrize("bit", [0x2, 0x4, 0x8, 0x20, 0x80000000])
 def test_unknown_flag_bit(tmp_path, bit):
-    # a bit no reader knows, as a later format might set, is refused
+    # a bit no reader knows is refused: an older partial file (0x2), an
+    # older builder tag (0x4, 0x8) or a later format's bit
     path = tmp_path / "t.icx"
-    save(build(300), str(path))  # flags 0: unranked, tag sieve
+    save(build(300), str(path))  # flags 0: unranked
     blob = bytearray(path.read_bytes())
     blob[16:20] = bit.to_bytes(4, "little")
     path.write_bytes(blob)
@@ -151,16 +138,6 @@ def test_short_header(tmp_path):
         load(path)
 
 
-def old_partial(limit: int, prefix) -> bytes:
-    """A checkpoint as older builds wrote it, of a limit-sized build: version
-    2, flags bit 1, a position field, the payload n = 1..position and its
-    CRC-32."""
-    body = bytes(prefix[1:])
-    return (b"ICX1" + (2).to_bytes(4, "little") + limit.to_bytes(8, "little")
-            + (2).to_bytes(4, "little") + len(body).to_bytes(8, "little")
-            + body + zlib.crc32(body).to_bytes(8, "little"))
-
-
 def test_checkpoint_is_the_table_of_its_prefix(tmp_path, monkeypatch):
     # a build killed after its k-th checkpoint leaves the file build(k * K) writes
     from test_dp import Crash, crash_after
@@ -175,20 +152,6 @@ def test_checkpoint_is_the_table_of_its_prefix(tmp_path, monkeypatch):
         assert Path(path).read_bytes() == Path(ref).read_bytes()
         got = load(path)
         assert isinstance(got, ComplexityTable) and got.limit == k * 5000
-
-
-def test_old_partial_file_resumes(tmp_path):
-    oneshot, path = str(tmp_path / "oneshot.icx"), str(tmp_path / "c.icx")
-    full = build(30_000, out=oneshot)
-    blob = old_partial(30_000, full.complexity[:12_001])
-    Path(path).write_bytes(blob)
-    assert load(path) == build(12_000)
-    build(30_000, resume=path, out=path)
-    assert Path(path).read_bytes() == Path(oneshot).read_bytes()
-    # a partial file with a rank section is refused
-    Path(path).write_bytes(blob[:16] + (3).to_bytes(4, "little") + blob[20:])
-    with pytest.raises(IcxError, match="partial"):
-        load(path)
 
 
 @pytest.fixture(scope="module")

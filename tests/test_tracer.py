@@ -38,3 +38,15 @@ def test_traced_desk_report_reuses_its_table(tmp_path):
                   "--outdir", str(tmp_path))
     assert names.count("storage.load") == 1
     assert "dp.build_dp" not in names and "sieve.build_sieve" not in names
+
+
+def test_load_table_reads_what_save_wrote(tmp_path):
+    # perfbench/run.py reads every table through storage.load_table, the old
+    # name of storage.load; both the name and this test go with ROADMAP item 1
+    from intcomplexity import storage
+
+    path = str(tmp_path / "t.icx")
+    for ranks in (False, True):
+        table = build(3000, ranks=ranks)
+        storage.save(table, path)
+        assert storage.load_table(path) == table
