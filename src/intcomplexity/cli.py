@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 from typing import TYPE_CHECKING
 
@@ -310,5 +311,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """``main`` as a process of its own: the ``intcomplexity`` console script
+    and ``python -m intcomplexity.cli``.
+
+    The objects the imports made (about 22k, most of them numpy's) live
+    until exit, so freezing them spares them the full collection that
+    interpreter shutdown would run over them: 30 to 40 ms of each command.
+    ``main`` itself leaves the collector alone, since tests and other
+    programs call it in their own process.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -3,18 +3,21 @@
 Layout, little-endian throughout:
 
     magic     4 bytes  b"ICX1"
-    version   u32      2
+    version   u32      3
     limit     u64      table size n = 1..limit
     flags     u32      bit 0: rank section present
                        bits 1-31: unused; a file that sets one is refused
     payload   bytes    complexity values, then rank values when flagged
-    checksum  u64      zlib.crc32 of the payload
+    checksum  u64      zlib.crc32 of the header and the payload: every
+                       byte before it
 
 A file is its table's bytes and records no builder.  Older layouts are
 refused, and rebuilding the table with ``intcomplexity build`` replaces
-them: version 1 (a byte-sum checksum) raises UnsupportedVersionError; a
-partial checkpoint (flags bit 1, with a position field) or a table
-tagged ``dp`` or ``oracle`` (flags bits 2-3) raises UnknownFlagsError.
+them: versions 1 (a byte-sum checksum) and 2 (a CRC of the payload
+alone, which let an edit of limit and flags load as another table) raise
+UnsupportedVersionError; a partial checkpoint (flags bit 1, with a
+position field) or a table tagged ``dp`` or ``oracle`` (flags bits 2-3)
+raises UnknownFlagsError.
 
 A checkpoint is the unranked table of a build's finished prefix, byte
 for byte the file a build to that limit writes.  Writes go to a
@@ -32,7 +35,7 @@ import zlib
 from .core import ComplexityTable
 
 MAGIC = b"ICX1"
-VERSION = 2
+VERSION = 3
 FLAG_RANKS = 1
 
 _HEADER = struct.Struct("<4sIQI")
@@ -72,12 +75,13 @@ def _checksum(*parts) -> int:
 
 
 def _atomic_write(path: str, head: bytes, *payload) -> None:
-    """Write head, the payload buffers and their checksum, without joining them."""
+    """Write head, the payload buffers and the checksum of both, without
+    joining them."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".icx-", dir=directory)
     try:
         with os.fdopen(fd, "wb") as fh:
-            for chunk in (head, *payload, _U64.pack(_checksum(*payload))):
+            for chunk in (head, *payload, _U64.pack(_checksum(head, *payload))):
                 fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
@@ -141,7 +145,7 @@ def load(path: str) -> ComplexityTable:
     if len(tail) < 8:
         raise TruncatedFileError(f"{path}: shorter than {expected} bytes while read")
     payload = [c[1:] for c in (comp, rank) if c is not None]
-    if _checksum(*payload) != _U64.unpack(tail)[0]:
+    if _checksum(head, *payload) != _U64.unpack(tail)[0]:
         raise ChecksumError(f"{path}: checksum mismatch")
     try:
         return ComplexityTable(limit=limit, complexity=comp, rank=rank)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -76,6 +77,54 @@ def test_table_reports_leave_out_expression_trees(table_file):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert "intcomplexity.analysis" in loaded
     assert "intcomplexity.expr" not in loaded
+
+
+# a fresh interpreter runs one process entry point with its command line,
+# then prints how many objects gc.freeze() set aside
+_FREEZE_COUNT = """
+import gc, importlib, runpy, sys
+sys.argv = {argv!r}
+try:
+    {call}
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(gc.get_freeze_count())
+"""
+
+
+def _console_script_call():
+    # the call the installed intcomplexity command makes
+    tomllib = pytest.importorskip("tomllib")
+    target = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, name = target["intcomplexity"].split(":")
+    return f"sys.exit(importlib.import_module({module!r}).{name}())"
+
+
+@pytest.mark.parametrize("entry", ["module", "console script", "desk script"])
+def test_process_entry_points_freeze(tmp_path, entry):
+    if entry == "desk script":
+        script = str(ROOT / "scripts" / "run_desk_scale.py")
+        call = f"runpy.run_path({script!r}, run_name='__main__')"
+        argv = [script, "--limit", "2000", "--outdir", str(tmp_path)]
+    else:
+        call = (_console_script_call() if entry == "console script" else
+                "runpy.run_module('intcomplexity.cli', run_name='__main__', alter_sys=True)")
+        argv = ["intcomplexity", "build", "--limit", "1000", "--out", str(tmp_path / "t.icx")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_COUNT.format(argv=argv, call=call)],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) > 0
+    assert any(p.suffix == ".icx" for p in tmp_path.iterdir())
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert main(["build", "--limit", "1000", "--out", str(tmp_path / "t.icx")]) == 0
+    assert main(["query", "5", "--table", str(tmp_path / "t.icx")]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_build_dp_and_query(tmp_path, capsys):
@@ -281,7 +330,7 @@ def test_resume_refuses_values_above_127(tmp_path, capsys):
         blob = bytearray(path.read_bytes())
         start = len(blob) - 8 - 999  # the byte of n = 1
         blob[start + 1] = blob[start + 499] = value
-        blob[-8:] = zlib.crc32(blob[start:-8]).to_bytes(8, "little")
+        blob[-8:] = zlib.crc32(blob[:-8]).to_bytes(8, "little")
         path.write_bytes(blob)
         assert main(["build", "--resume", str(path), "--limit", "1999", "--out", out]) == 2
         assert f"complexity value {value} above 127" in capsys.readouterr().err

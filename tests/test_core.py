@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,14 +116,13 @@ def test_defect_values():
 
 
 def naive_addend_bound(n: int, c_upper: int) -> int:
+    # the largest a <= n/2 with (n - 2a)^2 >= n^2 - 4y, tried for every a;
+    # int64 is exact here, since n <= 10**6 keeps each value below 2**41
     y = max_expressible(c_upper)
     if n * n < 4 * y:
         return n // 2
-    best = 0
-    for a in range(0, n // 2 + 1):
-        if n - 2 * a >= 0 and (n - 2 * a) ** 2 >= n * n - 4 * y:
-            best = a
-    return best
+    a = np.arange(n // 2 + 1, dtype=np.int64)
+    return int(np.flatnonzero((n - 2 * a) ** 2 >= n * n - 4 * y).max(initial=0))
 
 
 def test_addend_bound_examples():

@@ -84,15 +84,28 @@ def test_swapped_payload_bytes(table, tmp_path):
 
 
 def test_unsupported_version(table, tmp_path):
-    # version 1, the older byte-sum layout, or a later version
+    # version 2, whose CRC left the header out, or a later version
     path = str(tmp_path / "t.icx")
-    for version in (1, 3):
+    for version in (2, 4):
         save(table, path)
         blob = bytearray(Path(path).read_bytes())
         blob[4] = version
         Path(path).write_bytes(blob)
         with pytest.raises(UnsupportedVersionError):
             load(path)
+
+
+def test_header_under_checksum(tmp_path):
+    # an unranked 1,000-entry table relabelled a ranked 500-entry one keeps
+    # its size; the CRC must see the new limit and flags
+    path = tmp_path / "t.icx"
+    save(build(1000), str(path))
+    blob = bytearray(path.read_bytes())
+    blob[8:16] = (500).to_bytes(8, "little")
+    blob[16:20] = (1).to_bytes(4, "little")
+    path.write_bytes(blob)
+    with pytest.raises(ChecksumError):
+        load(str(path))
 
 
 @pytest.mark.parametrize("bit", [0x2, 0x4, 0x8, 0x20, 0x80000000])
@@ -210,7 +223,7 @@ def test_load_damaged_file(saved, ranks, edit):
         blob[off : off + size] = value.to_bytes(size, "little")
     else:  # a payload byte, with the checksum recomputed
         blob[20 + args[0] % (len(blob) - 28)] = args[1]
-        blob[-8:] = zlib.crc32(blob[20:-8]).to_bytes(8, "little")
+        blob[-8:] = zlib.crc32(blob[:-8]).to_bytes(8, "little")
         comp = b"\0" + blob[20 : 20 + t.limit]
         rank = b"\0" + blob[20 + t.limit : -8] if ranks else None
     path = directory / "damaged.icx"
