@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Build the desk-scale table and write every derived report.
 
-Builds a ranked table at the requested limit with ``dp.build`` (0.3 to
-0.4 s and 36 MB peak RSS at the default 2M, on a shared 2-core Linux
-machine), or reuses one already in the output directory, then writes
-the sequence tables, verification reports, collapse/chain/first-operation
-scans, the least-value fit, and the top logarithmic complexities into
-that directory as CSV and JSON.
+Builds a ranked table at the requested limit with ``dp.build``, or
+reuses the one already in the output directory (a file of an older
+layout, or a damaged one, is rebuilt), then writes the sequence tables,
+verification reports, collapse/chain/first-operation scans, the
+least-value fit, and the top logarithmic complexities into that
+directory as CSV and JSON.
 
 Each report is one ``intcomplexity`` command line.  The table is loaded
 (or built) and its ``SequenceSet`` derived once; each command's analysis
@@ -43,7 +43,12 @@ REPORTS = [
 def run(limit: int, outdir: str) -> int:
     os.makedirs(outdir, exist_ok=True)
     table_path = os.path.join(outdir, f"table-{limit}.icx")
-    table = storage.load(table_path) if os.path.exists(table_path) else None
+    table = None
+    if os.path.exists(table_path):
+        try:
+            table = storage.load(table_path)
+        except storage.IcxError as exc:  # an older layout or a damaged file: rebuilt below
+            print(f"not reusing {table_path}: {exc}")
     if table is None or table.limit != limit or not table.has_ranks:
         t0 = time.time()
         table = build(limit, ranks=True, out=table_path)

@@ -33,8 +33,8 @@ from .core import (
     log_complexity,
     max_expressible,
     mersenne_upper_bound,
-    product_minima,
 )
+from . import kernel
 from .primality import is_prime, primes_up_to
 from .reporting import Report
 
@@ -519,8 +519,8 @@ def first_operation_scan(t: ComplexityTable) -> list[FirstOpRecord]:
     """All n whose optimum forces a first subtraction of 6 or more.
 
     Works in blocks of ``block_width(limit)``.  In each block numpy marks
-    the n that a +1 split settles, f(n) = f(n-1) + 1, and takes the least
-    product split f(d) + f(n/d) of each n (``core.product_minima``), which
+    the n that a +1 split settles, f(n) = f(n-1) + 1, and the builder's
+    kernel takes the least product split f(d) + f(n/d) of each n, which
     settles n when it equals f(n); only the survivors of both are
     classified one by one.  On a table whose values contradict each other
     the least product can fall below f(n) and keep more survivors, but the
@@ -531,10 +531,12 @@ def first_operation_scan(t: ComplexityTable) -> list[FirstOpRecord]:
     c = _comp_array(t)  # at most 127 (see ComplexityTable), so no sum wraps
     width = block_width(t.limit)
     products = np.empty(width, dtype=np.uint8)
+    minima = kernel.load().ic_products
     out = []
     for lo in range(2, t.limit + 1, width):
         hi = min(lo + width, t.limit + 1)
-        least = product_minima(c, lo, hi, products[: hi - lo])
+        minima(c.ctypes.data, lo, hi, products.ctypes.data)
+        least = products[: hi - lo]
         survivors = (c[lo:hi] != c[lo - 1 : hi - 1] + 1) & (least != c[lo:hi])
         for n in np.flatnonzero(survivors) + lo:
             rec = classify_first_operation(t, int(n))

@@ -5,16 +5,14 @@ arithmetic expression for it over {1, +, *} (OEIS A005245).  Everything
 else in the package is built on the exact bounds and closed forms here:
 the 3*log3 lower bound, the largest-value-per-ones sequence (A000792),
 the integer logarithm (A001414), logarithmic complexity, defect, the
-smallest-addend bound used by the builders, and the block geometry and
-product relaxation that the builder and the first-operation scan share.
+smallest-addend bound used by the builders, and the block geometry that
+the builder and the first-operation scan share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .primality import factorize
 
@@ -147,46 +145,31 @@ def addend_bound(n: int, c_upper: int) -> int:
 def block_width(limit: int) -> int:
     """Widest block [lo, hi) that the block-wise passes take at this limit.
 
-    A block makes a fixed number of numpy calls per divisor d <= sqrt(hi)
-    (one in an unranked build, three for a ranked build's keys), so a width
-    in proportion to sqrt(limit) keeps those calls a fixed share of its
-    work; small limits keep each block's temporaries near 64 KB.
+    A block is a handful of kernel calls and a few Python steps (the
+    addend cap, a checkpoint test), and its product pass walks every
+    divisor d <= sqrt(hi) once, so a width in proportion to sqrt(limit)
+    keeps that walk's fixed cost per divisor a fixed share of the block's
+    work.  The factor 32 keeps a block's product keys and complexities
+    near 2 MB at 477,028,439, inside one core's L2 cache; at 64 the ranked
+    build there took about a quarter longer.  Small limits keep each
+    block's buffers near 64 KB.
     """
-    return max(1 << 16, 64 * math.isqrt(limit))
-
-
-def product_slices(lo: int, hi: int):
-    """Product splits n = d*e, 2 <= d <= e, of the n in [lo, hi).
-
-    Yields (d, slice of the multiples n >= d*d of d, relative to lo,
-    slice of their cofactors e = n/d), one per d <= sqrt(hi - 1).
-    """
-    for d in range(2, math.isqrt(hi - 1) + 1):
-        first = max(d * d, -(-lo // d) * d)
-        if first < hi:
-            yield d, slice(first - lo, hi - lo, d), slice(first // d, (hi - 1) // d + 1)
-
-
-def product_minima(c: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-    """Least c[d] + c[n/d] over the product splits of each n in [lo, hi),
-    into the uint8 array ``out`` of length hi - lo, and MAX_COMPLEXITY
-    where n has none.
-
-    Cofactors e = n/d are read from c as ``out`` is written, so ``out``
-    may be c[lo:hi] itself when every e < lo, as when hi <= 2*lo.  Values
-    of c up to MAX_STORED keep every sum inside a uint8.
-    """
-    out[:] = MAX_COMPLEXITY
-    for d, tgt, cof in product_slices(lo, hi):
-        np.minimum(out[tgt], c[cof] + c[d], out=out[tgt])
-    return out
+    return max(1 << 16, 32 * math.isqrt(limit))
 
 
 def check_stored(complexity) -> None:
-    """Refuse a complexity column (any buffer) holding a value above MAX_STORED."""
-    top = int(np.frombuffer(complexity, dtype=np.uint8).max())
-    if top > MAX_STORED:
-        raise ValueError(f"complexity value {top} above {MAX_STORED}: sums of two would wrap")
+    """Refuse a complexity column (any buffer) holding a value above MAX_STORED.
+
+    MAX_STORED = 127 is exactly the ASCII range, so a column passes when
+    its bytes are ASCII.  It is tested in 16 KB chunks, so the copies stay
+    small beside any column (``storage.load`` holds one copy of a file).
+    """
+    view = memoryview(complexity)
+    chunk = 1 << 14
+    for i in range(0, len(view), chunk):
+        if not view[i : i + chunk].tobytes().isascii():
+            top = max(max(view[k : k + chunk].tobytes()) for k in range(i, len(view), chunk))
+            raise ValueError(f"complexity value {top} above {MAX_STORED}: sums of two would wrap")
 
 
 def hamming_weight(n: int) -> int:

@@ -3,18 +3,25 @@
 Every table in the package comes from ``build``.  It settles n in
 blocks [lo, hi), hi <= 2*lo and at most ``core.block_width(limit)``
 wide, in increasing order; everything below lo is final when a block
-starts.
+starts.  The passes over a block run in C, in the block kernel
+(``_kernel.c``, compiled on first use into the per-user cache and loaded
+through ctypes; see ``kernel``).  This module keeps the block loop, the
+addend cap, checkpoints and resume, over bytearray columns, and imports
+no numpy; the numpy builder it replaced is the tests' reference.
 
 * Products: a split n = d*e with 2 <= d <= e has e <= n/2 < lo, so for
-  each d <= sqrt(hi - 1) the block's multiples of d are relaxed against
-  the finished prefix as one strided slice.
-* The +1 chain, f[n] <= f[n-1] + 1, is closed in one pass as a running
-  minimum of f[n] - n that carries f[lo-1] in from the prefix.
+  each d <= sqrt(hi - 1) the kernel walks the block's multiples of d
+  against the finished prefix.
+* The +1 chain, f[n] <= f[n-1] + 1, is closed in one increasing pass
+  that carries f[lo-1] in from the prefix.  The same pass returns the
+  offsets where the block's running maximum rises, from which the cap
+  below is taken with ``core.addend_bound``.
 * Sum splits f[j] + f[n-j] are scanned for 6 <= j <= top, the largest
   ``addend_bound(n, f[n])`` over the block at the *current* estimates.
-  A round closes the chain, then scans; rounds repeat until a scan
-  lowers nothing.  Addends 2..5 never win: f[j] = j there, and the chain
-  gives f[n-j] + j.
+  A round closes the chain, then scans, one pass over the block per j
+  that reads f[n-j] from a copy of the block taken as the round starts;
+  rounds repeat until a scan lowers nothing.  Addends 2..5 never win:
+  f[j] = j there, and the chain gives f[n-j] + j.
 
 Caps taken from estimates are sound.  Every estimate is the size of a
 real expression, so it is never below the true value, and a split that
@@ -59,17 +66,19 @@ below 128 and complexity sums below 255, so each fits its byte, and the
 empty key 0xFFFF reads as MAX_COMPLEXITY.  Unranked builds relax the
 complexity bytes alone, at about half the cost.
 
-Sum parts may lie in the block, so RS and GS are iterated there until
-GS stops changing; each estimate is the height of a real expression, so
-they only fall, to the exact values.  The iteration runs over the block's
-tight sum splits, found once per block: j = 1 (37 % of n below 2M) and
-6 <= j <= top, the complexity scan's cap (the least n with such a split
-is 22,697,747).  Addends 2..5 are left out, as in the complexity scan.
+Sum parts may lie in the block, but each is smaller than n, so one pass
+in increasing n finds RS, GS and GP: every part's GS is final when n is
+reached.  RS runs over the tight sum splits j = 1 (37 % of n below 2M)
+and 6 <= j <= top, the complexity scan's last cap; a pass per j first
+flags the n that have such a split (the least is 22,697,747), and only
+those walk the j.  Addends 2..5 are left out, as in the complexity scan.
 There f(j) = j, so a tight split f(n) = f(n-j) + j makes every step
 from n-j to n a tight j = 1 split (the +1 chain caps each step at one);
 the j = 1 chain then gives RS(n) <= max(GS(n-j), GS(1)) through
 GS <= RS, and GS(1) = 1 <= GS(j).  GS and GP take a byte each per
-entry.
+entry, and the kernel takes rank = min(GS, GP) in place once the last
+block is done.  GP is freed before the rank column is copied out, and
+GS before the complexities are, so a ranked build peaks at 3 B/entry.
 """
 
 from __future__ import annotations
@@ -77,18 +86,14 @@ from __future__ import annotations
 import math
 import os
 
-import numpy as np
-
 from .core import (
     ComplexityTable,
     MAX_COMPLEXITY,
     addend_bound,
     block_width,
     max_expressible,
-    product_minima,
-    product_slices,
 )
-from . import storage
+from . import kernel, storage
 
 # rank estimate for "no such form yet"; 1 + _NONE still fits a uint8
 _NONE = 127
@@ -106,85 +111,27 @@ def _check_limit(limit: int, ranks: bool) -> None:
         raise ValueError(f"limit {limit} needs {need} bytes, more than physical memory ({have})")
 
 
-def _addend_top(blk: np.ndarray, lo: int, hi: int) -> int:
-    """Largest addend_bound(n, blk[n - lo]) over the block.
+def _addend_top(f, lo: int, hi: int, rises) -> int:
+    """Largest addend_bound(n, f[n]) over the block, given the offsets n - lo
+    where its running maximum rises.
 
     The bound grows with the estimate and, once 4*E(c) <= n^2, falls as n
     grows, so it peaks where the running maximum of the estimates rises.
     Short of that condition it is n // 2, which (hi - 1) // 2 covers.
     """
-    run = np.maximum.accumulate(blk)
     top = 0
-    for i in [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1)]:
-        n, c = lo + int(i), int(blk[i])
+    for i in rises:
+        n = lo + i
+        c = f[n]
         if 4 * max_expressible(c) > n * n:
             return (hi - 1) // 2
         top = max(top, addend_bound(n, c))
     return top
 
 
-def _settle(f: np.ndarray, lo: int, hi: int, gp: np.ndarray | None = None) -> np.ndarray | None:
-    """Final complexities of [lo, hi), given the finished prefix f[:lo].
-
-    With the prefix's GP column ``gp``, products are relaxed as keys and
-    the block's RP is returned (see the module docstring).
-    """
-    blk = f[lo:hi]
-    if gp is None:
-        product_minima(f, lo, hi, out=blk)
-    else:
-        # little-endian keys: byte 1 is the complexity sum, byte 0 the height
-        key = np.full(hi - lo, 0xFFFF, dtype="<u2")
-        buf = np.empty((hi - lo + 1) // 2, dtype="<u2")
-        for d, tgt, cof in product_slices(lo, hi):
-            part = buf[: cof.stop - cof.start]
-            byte = part.view(np.uint8)
-            np.add(f[cof], f[d], out=byte[1::2])
-            np.maximum(gp[cof], gp[d], out=byte[::2])
-            np.minimum(key[tgt], part, out=key[tgt])
-        key = key.view(np.uint8)
-        blk[:] = key[1::2]
-    offset = np.arange(hi - lo + 1, dtype=np.int32)
-    while True:
-        # +1 chain: running minimum of f[n] - n, carried in from f[lo - 1]
-        run = np.minimum.accumulate(np.r_[f[lo - 1], blk] - offset) + offset
-        blk[:] = run[1:]  # never above blk: the minimum includes n itself
-        before = blk.copy()  # closed; if the scan keeps it, it is final
-        for j in range(6, _addend_top(blk, lo, hi) + 1):
-            np.minimum(blk, f[lo - j : hi - j] + f[j], out=blk)
-        if np.array_equal(before, blk):
-            break
-    if gp is None:
-        return None
-    return np.where(key[1::2] == blk, key[::2], np.uint8(_NONE))
-
-
-def _rank(
-    f: np.ndarray, gs: np.ndarray, gp: np.ndarray, rp: np.ndarray, lo: int, hi: int
-) -> None:
-    """GS and GP of [lo, hi) from final complexities and the block's RP (see
-    the module docstring)."""
-    blk = f[lo:hi]
-    gs_blk, gp_blk = gs[lo:hi], gp[lo:hi]
-    # the block's tight sum splits, found once: j = 1 as a floor under
-    # GS(n - 1), GS(1) where tight and _NONE elsewhere; each j >= 6 as the
-    # offsets in the block of the n it splits
-    floor = np.where(f[lo - 1 : hi - 1] + 1 == blk, gs[1], np.uint8(_NONE))
-    splits = []
-    for j in range(6, _addend_top(blk, lo, hi) + 1):
-        at = np.flatnonzero(f[lo - j : hi - j] + f[j] == blk)
-        if at.size:
-            splits.append((j, at))
-    rs = np.empty_like(rp)
-    while True:
-        before = gs_blk.copy()
-        np.maximum(gs[lo - 1 : hi - 1], floor, out=rs)
-        for j, at in splits:
-            rs[at] = np.minimum(rs[at], np.maximum(gs[lo - j : hi - j][at], gs[j]))
-        np.minimum(rp + 1, rs, out=gs_blk)
-        np.minimum(rs + 1, rp, out=gp_blk)
-        if np.array_equal(before, gs_blk):
-            return
+def _checked(status: int) -> None:
+    if status < 0:
+        raise MemoryError("the block kernel could not allocate its block buffer")
 
 
 def build(
@@ -212,35 +159,53 @@ def build(
     _check_limit(limit, ranks)
     if checkpoint_every and not out:
         raise ValueError("checkpointing requires an output path")
+    lib = kernel.load()
     prefix = storage.load(resume).complexity[: limit + 1] if resume else b"\x00\x01"
-    f = np.empty(limit + 1, dtype=np.uint8)
+    f = bytearray(limit + 1)
     lo = len(prefix)
-    f[:lo] = np.frombuffer(prefix, dtype=np.uint8)
+    f[:lo] = prefix
     del prefix
-    gs = gp = None
-    if ranks:
-        gs = np.full(limit + 1, _NONE, dtype=np.uint8)
-        gp = np.full(limit + 1, _NONE, dtype=np.uint8)
-        gs[1] = 1  # the One is a part of any sum at height 1
     width = block_width(limit)
+    fa = kernel.address(f)
+    if ranks:
+        gs = bytearray([_NONE]) * (limit + 1)
+        gp = bytearray([_NONE]) * (limit + 1)
+        gs[1] = 1  # the One is a part of any sum at height 1
+        key = bytearray(2 * min(width, limit))  # one uint16 product key per block entry
+        gsa, gpa, keya = kernel.address(gs), kernel.address(gp), kernel.address(key)
+    # the running maximum of a block of bytes rises at most 256 times
+    rises = bytearray(8 * 256)
+    ra, rv = kernel.address(rises), memoryview(rises).cast("q")
     while lo <= limit:
         hi = min(2 * lo, lo + width, limit + 1)
         if checkpoint_every:
             hi = min(hi, -(-lo // checkpoint_every) * checkpoint_every + 1)
-        rp = _settle(f, lo, hi, gp)
         if ranks:
-            _rank(f, gs, gp, rp, lo, hi)
+            lib.ic_keys(fa, gpa, lo, hi, keya)
+        else:
+            lib.ic_products(fa, lo, hi, fa + lo)
+        while True:  # rounds: close the chain, then scan sums until none lowers
+            top = _addend_top(f, lo, hi, rv[: lib.ic_chain(fa, lo, hi, ra)])
+            if top < 6:
+                break
+            lowered = lib.ic_sums(fa, lo, hi, top)
+            _checked(lowered)
+            if not lowered:
+                break
+        if ranks:
+            _checked(lib.ic_ranks(fa, gsa, gpa, keya, lo, hi, top))
         if checkpoint_every and (hi - 1) % checkpoint_every == 0 and hi - 1 < limit:
             storage.save_checkpoint(out, memoryview(f)[:hi])
         lo = hi
     rank = None
     if ranks:
-        np.minimum(gs, gp, out=gs)
+        del key
+        lib.ic_minimum(gsa, gpa, limit + 1)
         del gp
-        gs[:2] = 0
-        rank = gs.tobytes()
+        gs[:2] = b"\x00\x00"
+        rank = bytes(gs)
         del gs
-    table = ComplexityTable(limit=limit, complexity=f.tobytes(), rank=rank)
+    table = ComplexityTable(limit=limit, complexity=bytes(f), rank=rank)
     if out:
         storage.save(table, out)
     return table

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # strong-pseudoprime bases that decide primality for all n < 3.3e24,
 # comfortably covering 64-bit inputs
@@ -40,6 +42,8 @@ def is_prime(n: int) -> bool:
 
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n, ascending, as an int64 array (a bool sieve)."""
+    import numpy as np
+
     n = max(n, 1)
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False

@@ -31,14 +31,14 @@ def run(capsys, argv):
     return rc, out
 
 
-# a fresh interpreter runs a ranked build, prints the package modules it
-# loaded, then resolves the package's names
+# a fresh interpreter runs a ranked build, prints the modules it loaded,
+# then resolves the package's names
 _BUILD_ONLY = """
 import json, sys
 import intcomplexity
 from intcomplexity import cli
 assert cli.main(["build", "--limit", "1000", "--ranks", "--out", sys.argv[1]]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("intcomplexity."))))
+print(json.dumps(sorted(sys.modules)))
 for name in ["oracle_complexity", "infix", *intcomplexity.__all__]:
     getattr(intcomplexity, name)
 """
@@ -51,9 +51,32 @@ def test_build_loads_only_the_builder(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert "intcomplexity.dp" in loaded
-    assert not {f"intcomplexity.{m}" for m in ("analysis", "enumerator", "expr")} & set(loaded)
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {"intcomplexity.dp", "intcomplexity.kernel"} <= loaded
+    assert not {f"intcomplexity.{m}" for m in ("analysis", "enumerator", "expr")} & loaded
+    assert "numpy" not in loaded  # the kernel builds; numpy is the tests' reference
+
+
+# a fresh interpreter imports the package and loads a table, as the
+# benchmark's harness does, then prints the modules it loaded
+_LOAD_ONLY = """
+import json, sys
+import intcomplexity
+from intcomplexity import storage
+assert storage.load(sys.argv[1]).has_ranks
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_loading_a_table_loads_no_builder_modules(table_file):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_ONLY, table_file],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert not {"numpy", "ctypes", "hashlib", "subprocess"} & loaded
 
 
 # a fresh interpreter runs table-reading subcommands, then prints the

@@ -1,7 +1,10 @@
 import importlib.util
+import struct
+import zlib
 from pathlib import Path
 
 from intcomplexity import cli, storage
+from intcomplexity.dp import build
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_scale.py"
 LIMIT = 20_000
@@ -47,3 +50,21 @@ def test_desk_files_match_cli(tmp_path, monkeypatch, capsys):
                 assert cli.main([*cmd, "--table", str(table_path), "--format", fmt]) == 0
                 assert (outdir / f"{name}.{fmt}").read_text() == capsys.readouterr().out, (name, fmt)
         assert written == expected
+
+
+def test_older_table_is_rebuilt(tmp_path, capsys):
+    # a version-2 file, whose CRC covers the payload alone, is refused by
+    # storage.load; the script rebuilds the table in its place
+    run = _desk_run()
+    outdir = tmp_path / "desk"
+    outdir.mkdir()
+    table_path = outdir / f"table-{LIMIT}.icx"
+    storage.save(build(LIMIT, ranks=True), str(table_path))
+    blob = bytearray(table_path.read_bytes())
+    blob[4:8] = struct.pack("<I", 2)
+    blob[-8:] = struct.pack("<Q", zlib.crc32(blob[20:-8]))
+    table_path.write_bytes(blob)
+    assert run(LIMIT, str(outdir)) == 0
+    log = capsys.readouterr().out
+    assert log.startswith("not reusing") and "built ranked table" in log
+    assert storage.load(str(table_path)) == build(LIMIT, ranks=True)

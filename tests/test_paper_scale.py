@@ -1,11 +1,11 @@
 """The paper's ranked table to 477,028,439, built through the CLI.
 
-Opt in with INTCOMPLEXITY_PAPER_SCALE=1: the build alone takes about
-160 s and 1.4 GB on a 2-core machine, so tier-1 skips it.  It checks the
-least n of ranks 15-19 (477,028,439 is the least of rank 19) and the
-first number whose shortest expressions all start by subtracting 6, the
-only place below this limit where a sum split with an addend of 6 or
-more decides a complexity.
+Opt in with INTCOMPLEXITY_PAPER_SCALE=1: the test takes about 35 s and
+1.4 GB peak RSS on a 2-core machine, 30 s of it the build, so tier-1
+skips it.  It checks the least n of ranks 15-19 (477,028,439 is the
+least of rank 19) and the first number whose shortest expressions all
+start by subtracting 6, the only place below this limit where a sum
+split with an addend of 6 or more decides a complexity.
 """
 
 import os
@@ -19,7 +19,7 @@ from intcomplexity.cli import main
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("INTCOMPLEXITY_PAPER_SCALE") != "1",
-    reason="paper scale (about 4 minutes, 2 GB); set INTCOMPLEXITY_PAPER_SCALE=1",
+    reason="paper scale (about 35 s, 1.4 GB); set INTCOMPLEXITY_PAPER_SCALE=1",
 )
 
 LIMIT = LEAST_BY_RANK[19]

@@ -36,9 +36,8 @@ def test_tiny_limits():
 
 
 def test_prefix_of_larger_table(sieve_5k, desk_table):
-    # blocks double until they are 2**16 wide (desk_table's are wider), so
-    # these limits end blocks at many places; each table is a prefix of the
-    # larger one
+    # blocks double until they are 2**16 wide, so these limits end blocks
+    # at many places; each table is a prefix of the larger one
     for limit in (*range(1, 70), 4097, 5000):
         t = build(limit, ranks=True)
         assert t.complexity == sieve_5k.complexity[: limit + 1], limit
