@@ -59,7 +59,8 @@ def test_older_table_is_rebuilt(tmp_path, capsys):
     outdir = tmp_path / "desk"
     outdir.mkdir()
     table_path = outdir / f"table-{LIMIT}.icx"
-    storage.save(build(LIMIT, ranks=True), str(table_path))
+    table = build(LIMIT, ranks=True)
+    storage.save(table, str(table_path))
     blob = bytearray(table_path.read_bytes())
     blob[4:8] = struct.pack("<I", 2)
     blob[-8:] = struct.pack("<Q", zlib.crc32(blob[20:-8]))
@@ -67,4 +68,4 @@ def test_older_table_is_rebuilt(tmp_path, capsys):
     assert run(LIMIT, str(outdir)) == 0
     log = capsys.readouterr().out
     assert log.startswith("not reusing") and "built ranked table" in log
-    assert storage.load(str(table_path)) == build(LIMIT, ranks=True)
+    assert storage.load(str(table_path)) == table
