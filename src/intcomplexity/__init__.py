@@ -11,10 +11,8 @@ table format, and the derived sequences, scans, and verification suites.
 import importlib
 
 from .core import (
-    BoundPair,
     ComplexityTable,
     addend_bound,
-    complexity_bounds,
     defect,
     integer_logarithm,
     is_power_of_3,
@@ -54,7 +52,6 @@ def __dir__():
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundPair",
     "CapExceededError",
     "ComplexityTable",
     "ExprTree",
@@ -64,7 +61,6 @@ __all__ = [
     "addend_bound",
     "build",
     "canonicalize",
-    "complexity_bounds",
     "defect",
     "infix",
     "integer_logarithm",

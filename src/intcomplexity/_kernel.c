@@ -2,13 +2,14 @@
  *
  * Every column is a uint8 array indexed by n, passed whole; a block is
  * [lo, hi) with hi <= 2*lo, so every product part and every sum part
- * n - j with j >= 6 below lo is final when the block starts.  Sums of two
- * values wrap as uint8, as the reference passes' numpy sums do; table
- * values stay at or below 127, so no sum used here wraps.  dp.py's
- * docstring says what each pass computes and why the result is exact.
+ * n - j with j >= 6 below lo is final when the block starts.  The kernel
+ * allocates nothing and cannot fail: dp.build owns every buffer, the
+ * scratch ones included, and sizes them.  Sums of two values wrap as
+ * uint8, as the reference passes' numpy sums do; table values stay at or
+ * below 127, so no sum used here wraps.  dp.py's docstring says what each
+ * pass computes and why the result is exact.
  */
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 #define NONE 127 /* rank estimate for "no such form yet" (dp._NONE) */
@@ -60,36 +61,27 @@ void ic_keys(uint8_t *f, const uint8_t *gp, int64_t lo, int64_t hi, uint16_t *ke
 }
 
 /* Close the +1 chain over [lo, hi), f[n] = min(f[n], f[n-1] + 1) in
- * increasing n from the final f[lo - 1].  Writes the offsets n - lo where
- * the block's running maximum rises, 0 first, into rises (at most 256: the
- * values are bytes) and returns how many there are. */
-int64_t ic_chain(uint8_t *f, int64_t lo, int64_t hi, int64_t *rises)
+ * increasing n from the final f[lo - 1], and return the block's largest
+ * value, from which dp.build takes the sum scan's cap. */
+int ic_chain(uint8_t *f, int64_t lo, int64_t hi)
 {
     unsigned prev = f[lo - 1], top = 0;
-    int64_t k = 0;
     for (int64_t n = lo; n < hi; n++) {
-        unsigned v = min_u(f[n], prev + 1);
-        f[n] = (uint8_t)v;
-        prev = v;
-        if (n == lo || v > top) {
-            rises[k++] = n - lo;
-            top = v;
-        }
+        prev = min_u(f[n], prev + 1);
+        f[n] = (uint8_t)prev;
+        top = max_u(top, prev);
     }
-    return k;
+    return (int)top;
 }
 
 /* One round of the sum scan: f[n] = min(f[n], f[j] + f[n-j]) for every n
- * in [lo, hi) and 6 <= j <= top, reading f[n-j] from a copy of f[lo-top, hi)
- * taken as the round starts, so that each j is one pass the compiler
- * vectorizes.  Returns 1 if the round lowered an entry, 0 if not, and -1
- * if the copy could not be allocated. */
-int ic_sums(uint8_t *f, int64_t lo, int64_t hi, int64_t top)
+ * in [lo, hi) and 6 <= j <= top, reading f[n-j] from snap, a copy of
+ * f[lo-top, hi) taken as the round starts (top + hi - lo bytes), so that
+ * each j is one pass the compiler vectorizes.  Returns whether the round
+ * lowered an entry. */
+int ic_sums(uint8_t *f, int64_t lo, int64_t hi, int64_t top, uint8_t *snap)
 {
     int64_t w = hi - lo;
-    uint8_t *snap = malloc((size_t)(top + w));
-    if (!snap)
-        return -1;
     memcpy(snap, f + lo - top, (size_t)(top + w));
     uint8_t *restrict blk = f + lo;
     for (int64_t j = 6; j <= top; j++) {
@@ -100,23 +92,19 @@ int ic_sums(uint8_t *f, int64_t lo, int64_t hi, int64_t top)
             blk[i] = s < blk[i] ? s : blk[i];
         }
     }
-    int lowered = memcmp(blk, snap + top, (size_t)w) != 0;
-    free(snap);
-    return lowered;
+    return memcmp(blk, snap + top, (size_t)w) != 0;
 }
 
 /* GS and GP of [lo, hi) from the final f, the block's product keys and the
  * sum scan's last cap top, in one pass of increasing n: every part of n is
  * smaller than n, so its GS is final when n is reached.  A first pass, one
- * j at a time, flags the n with a tight sum split of addend j >= 6.
- * Returns 0, or -1 if the flags could not be allocated. */
-int ic_ranks(const uint8_t *f, uint8_t *gs, uint8_t *gp, const uint16_t *key,
-             int64_t lo, int64_t hi, int64_t top)
+ * j at a time, sets flag[n - lo] (hi - lo bytes) for the n with a tight sum
+ * split of addend j >= 6. */
+void ic_ranks(const uint8_t *f, uint8_t *gs, uint8_t *gp, const uint16_t *key,
+              int64_t lo, int64_t hi, int64_t top, uint8_t *flag)
 {
     int64_t w = hi - lo;
-    uint8_t *flag = calloc((size_t)w, 1);
-    if (!flag)
-        return -1;
+    memset(flag, 0, (size_t)w);
     const uint8_t *restrict blk = f + lo;
     for (int64_t j = 6; j <= top; j++) {
         const uint8_t *restrict part = f + lo - j;
@@ -136,8 +124,6 @@ int ic_ranks(const uint8_t *f, uint8_t *gs, uint8_t *gp, const uint16_t *key,
         gs[n] = (uint8_t)min_u(rp + 1, rs);
         gp[n] = (uint8_t)min_u(rs + 1, rp);
     }
-    free(flag);
-    return 0;
 }
 
 /* a[i] = min(a[i], b[i]) for 0 <= i < n: the rank column from GS and GP. */

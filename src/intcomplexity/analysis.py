@@ -383,13 +383,10 @@ def check_defect_rank(t: ComplexityTable) -> Report:
 
 
 def mersenne_table(t: ComplexityTable) -> Report:
-    """Excesses A(n), B(n) of 2^n -+ 1 over 2n, with their bound and
-    recurrence checks.
-
-    Rows (n, A, B, bound) land in details["rows"]; B and bound are None
-    where out of range.  Checked facts: A(n) <= floor(log2 n) + H(n) - 3,
-    A(2n) <= A(n) + B(n), A(3n) <= A(n) + B(n) + 1, A(n+1) <= A(n) + 1,
-    and the doubling-exponent identity A(2^k) = k - 2 for k >= 1.
+    """Checks of the excesses A(n), B(n) of 2^n -+ 1 over 2n:
+    A(n) <= floor(log2 n) + H(n) - 3, A(2n) <= A(n) + B(n),
+    A(3n) <= A(n) + B(n) + 1, A(n+1) <= A(n) + 1, and the
+    doubling-exponent identity A(2^k) = k - 2 for k >= 1.
     """
     c = t.complexity
     limit = t.limit
@@ -401,13 +398,11 @@ def mersenne_table(t: ComplexityTable) -> Report:
         if 2**n + 1 <= limit:
             B[n] = c[2**n + 1] - 2 * n
         n += 1
-    rows = []
     counterexamples: list[dict] = []
     checked = 0
     for n, a_val in A.items():
-        bound = mersenne_upper_bound(n) - 2 * n if n >= 2 else None
-        rows.append((n, a_val, B.get(n), bound))
-        if bound is not None:
+        if n >= 2:
+            bound = mersenne_upper_bound(n) - 2 * n
             checked += 1
             if a_val > bound:
                 counterexamples.append(
@@ -439,7 +434,7 @@ def mersenne_table(t: ComplexityTable) -> Report:
         passed=not counterexamples,
         checked=checked,
         counterexamples=counterexamples,
-        details={**_provenance(t), "rows": rows},
+        details=_provenance(t),
     )
 
 
@@ -598,16 +593,12 @@ class FitResult:
     slope: float
     intercept: float
     residuals: dict[int, float]
-    n_range: tuple[int, int]
 
 
-def fit_e_asymptote(
-    seq: SequenceSet, n_range: tuple[int, int] | None = None
-) -> FitResult:
-    """Ordinary least squares of log3(smallest[k]) against k."""
+def fit_e_asymptote(seq: SequenceSet) -> FitResult:
+    """Ordinary least squares of log3(smallest[k]) against k, over the
+    reliable range."""
     ks = sorted(seq.reliable_smallest().keys())
-    if n_range is not None:
-        ks = [k for k in ks if n_range[0] <= k <= n_range[1]]
     if len(ks) < 10:
         raise ValueError(f"need at least 10 reliable points, have {len(ks)}")
     x = np.array(ks, dtype=np.float64)
@@ -616,12 +607,7 @@ def fit_e_asymptote(
     slope = float(((x - xbar) * (y - ybar)).sum() / ((x - xbar) ** 2).sum())
     intercept = float(ybar - slope * xbar)
     residuals = {k: float(yv - (slope * k + intercept)) for k, yv in zip(ks, y)}
-    return FitResult(
-        slope=slope,
-        intercept=intercept,
-        residuals=residuals,
-        n_range=(ks[0], ks[-1]),
-    )
+    return FitResult(slope=slope, intercept=intercept, residuals=residuals)
 
 
 # -- logarithmic complexity ranking --------------------------------------

@@ -55,21 +55,6 @@ def upper_bound(n: int) -> float:
     return 3.0 * math.log2(n)
 
 
-@dataclass(frozen=True)
-class BoundPair:
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
-            raise ValueError(f"lower bound {self.lower} exceeds upper {self.upper}")
-
-
-def complexity_bounds(n: int) -> BoundPair:
-    """Both analytic bounds on the complexity of n (n > 1)."""
-    return BoundPair(lower=float(lower_bound(n)), upper=upper_bound(n))
-
-
 def max_expressible(k: int) -> int:
     """Largest integer whose complexity is k (A000792).
 
@@ -196,18 +181,19 @@ def is_power_of_3(n: int) -> bool:
 class ComplexityTable:
     """Densely packed complexity values for n = 1..limit.
 
-    ``complexity`` (and ``rank`` when present) are byte strings of length
-    limit + 1 with index 0 unused, so the value for n sits at index n;
-    ``storage.load`` gives read-only memoryviews, which compare equal to
-    the same bytes.  No complexity exceeds MAX_STORED.  A table is its
+    ``complexity`` (and ``rank`` when present) are read-only byte buffers
+    of length limit + 1 with index 0 unused, so the value for n sits at
+    index n.  ``build`` and ``storage.load`` give read-only memoryviews of
+    their own arrays, which compare equal to the same bytes; ``bytes`` are
+    accepted too.  No complexity exceeds MAX_STORED.  A table is its
     values: it records no builder, and ``storage.save`` writes these
     bytes behind a header of limit and flags.  Immutable after
     construction; safe to share between threads.
     """
 
     limit: int
-    complexity: bytes
-    rank: bytes | None = None
+    complexity: memoryview | bytes
+    rank: memoryview | bytes | None = None
 
     def __post_init__(self) -> None:
         if self.limit < 1:

@@ -6,21 +6,27 @@ wide, in increasing order; everything below lo is final when a block
 starts.  The passes over a block run in C, in the block kernel
 (``_kernel.c``, compiled on first use into the per-user cache and loaded
 through ctypes; see ``kernel``).  This module keeps the block loop, the
-addend cap, checkpoints and resume, over bytearray columns, and imports
-no numpy; the numpy builder it replaced is the tests' reference.
+addend cap, checkpoints and resume, and imports no numpy; the numpy
+builder it replaced is the tests' reference.  It owns every buffer the
+kernel writes, for the kernel allocates nothing: the bytearray columns,
+one block's product keys, and a scratch buffer that holds the sum scan's
+snapshot (grown when a round needs more) and then the rank pass's flags.
+The table it returns is those columns, as read-only memoryviews, with
+nothing copied.
 
 * Products: a split n = d*e with 2 <= d <= e has e <= n/2 < lo, so for
   each d <= sqrt(hi - 1) the kernel walks the block's multiples of d
   against the finished prefix.
 * The +1 chain, f[n] <= f[n-1] + 1, is closed in one increasing pass
   that carries f[lo-1] in from the prefix.  The same pass returns the
-  offsets where the block's running maximum rises, from which the cap
-  below is taken with ``core.addend_bound``.
-* Sum splits f[j] + f[n-j] are scanned for 6 <= j <= top, the largest
-  ``addend_bound(n, f[n])`` over the block at the *current* estimates.
-  A round closes the chain, then scans, one pass over the block per j
-  that reads f[n-j] from a copy of the block taken as the round starts;
-  rounds repeat until a scan lowers nothing.  Addends 2..5 never win:
+  block's largest estimate c, from which the cap below is taken.
+* Sum splits f[j] + f[n-j] are scanned for 6 <= j <= top, where top,
+  ``addend_bound(lo, c)`` or (hi - 1) // 2 when 4*E(c) > lo^2, is at
+  least ``addend_bound(n, f[n])`` for every n in the block at the
+  *current* estimates (see ``_addend_top``).  A round closes the chain,
+  then scans, one pass over the block per j that reads f[n-j] from a
+  snapshot of f[lo-top, hi) taken as the round starts; rounds repeat
+  until a scan lowers nothing.  Addends 2..5 never win:
   f[j] = j there, and the chain gives f[n-j] + j.
 
 Caps taken from estimates are sound.  Every estimate is the size of a
@@ -76,9 +82,9 @@ There f(j) = j, so a tight split f(n) = f(n-j) + j makes every step
 from n-j to n a tight j = 1 split (the +1 chain caps each step at one);
 the j = 1 chain then gives RS(n) <= max(GS(n-j), GS(1)) through
 GS <= RS, and GS(1) = 1 <= GS(j).  GS and GP take a byte each per
-entry, and the kernel takes rank = min(GS, GP) in place once the last
-block is done.  GP is freed before the rank column is copied out, and
-GS before the complexities are, so a ranked build peaks at 3 B/entry.
+entry, and the kernel takes rank = min(GS, GP) in place in the GS column
+once the last block is done, so a ranked build holds 3 B/entry and an
+unranked one 1 B/entry.
 """
 
 from __future__ import annotations
@@ -104,34 +110,24 @@ def _check_limit(limit: int, ranks: bool) -> None:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > 2 and 3.0 * math.log2(limit) > MAX_COMPLEXITY:
         raise ValueError("limit too large for one-byte complexity storage")
-    # the working arrays plus the bytes of the returned table
-    need = (limit + 1) * (3 if ranks else 2)
+    # the columns the build holds, which are the returned table's
+    need = (limit + 1) * (3 if ranks else 1)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(f"limit {limit} needs {need} bytes, more than physical memory ({have})")
 
 
-def _addend_top(f, lo: int, hi: int, rises) -> int:
-    """Largest addend_bound(n, f[n]) over the block, given the offsets n - lo
-    where its running maximum rises.
+def _addend_top(lo: int, hi: int, c: int) -> int:
+    """The sum scan's cap over [lo, hi) when no estimate there exceeds c:
+    addend_bound(lo, c), or (hi - 1) // 2 when 4*E(c) > lo^2.
 
-    The bound grows with the estimate and, once 4*E(c) <= n^2, falls as n
-    grows, so it peaks where the running maximum of the estimates rises.
-    Short of that condition it is n // 2, which (hi - 1) // 2 covers.
+    addend_bound(n, f[n]) <= addend_bound(n, c), as the bound grows with
+    the estimate.  Once 4*E(c) <= n^2, each step of n raises
+    ceil(sqrt(n^2 - 4*E(c))) by at least 1, so the bound does not increase
+    with n and n = lo takes the largest.  Short of that the bound is n // 2,
+    which (hi - 1) // 2 covers.
     """
-    top = 0
-    for i in rises:
-        n = lo + i
-        c = f[n]
-        if 4 * max_expressible(c) > n * n:
-            return (hi - 1) // 2
-        top = max(top, addend_bound(n, c))
-    return top
-
-
-def _checked(status: int) -> None:
-    if status < 0:
-        raise MemoryError("the block kernel could not allocate its block buffer")
+    return (hi - 1) // 2 if 4 * max_expressible(c) > lo * lo else addend_bound(lo, c)
 
 
 def build(
@@ -163,19 +159,20 @@ def build(
     prefix = storage.load(resume).complexity[: limit + 1] if resume else b"\x00\x01"
     f = bytearray(limit + 1)
     lo = len(prefix)
-    f[:lo] = prefix
+    # through a view: f[:lo] = prefix copies a memoryview into a new bytearray first
+    memoryview(f)[:lo] = prefix
     del prefix
     width = block_width(limit)
     fa = kernel.address(f)
+    # the sum scan's snapshot of f[lo - top, hi), grown to fit, and the rank
+    # pass's flags of the block
+    scratch = bytearray(min(width, limit))
     if ranks:
         gs = bytearray([_NONE]) * (limit + 1)
         gp = bytearray([_NONE]) * (limit + 1)
         gs[1] = 1  # the One is a part of any sum at height 1
         key = bytearray(2 * min(width, limit))  # one uint16 product key per block entry
         gsa, gpa, keya = kernel.address(gs), kernel.address(gp), kernel.address(key)
-    # the running maximum of a block of bytes rises at most 256 times
-    rises = bytearray(8 * 256)
-    ra, rv = kernel.address(rises), memoryview(rises).cast("q")
     while lo <= limit:
         hi = min(2 * lo, lo + width, limit + 1)
         if checkpoint_every:
@@ -185,27 +182,25 @@ def build(
         else:
             lib.ic_products(fa, lo, hi, fa + lo)
         while True:  # rounds: close the chain, then scan sums until none lowers
-            top = _addend_top(f, lo, hi, rv[: lib.ic_chain(fa, lo, hi, ra)])
+            top = _addend_top(lo, hi, lib.ic_chain(fa, lo, hi))
             if top < 6:
                 break
-            lowered = lib.ic_sums(fa, lo, hi, top)
-            _checked(lowered)
-            if not lowered:
+            if len(scratch) < top + hi - lo:
+                del scratch  # freed first, so that one scratch is held at a time
+                scratch = bytearray(top + hi - lo)
+            if not lib.ic_sums(fa, lo, hi, top, kernel.address(scratch)):
                 break
         if ranks:
-            _checked(lib.ic_ranks(fa, gsa, gpa, keya, lo, hi, top))
+            lib.ic_ranks(fa, gsa, gpa, keya, lo, hi, top, kernel.address(scratch))
         if checkpoint_every and (hi - 1) % checkpoint_every == 0 and hi - 1 < limit:
             storage.save_checkpoint(out, memoryview(f)[:hi])
         lo = hi
     rank = None
     if ranks:
-        del key
         lib.ic_minimum(gsa, gpa, limit + 1)
-        del gp
         gs[:2] = b"\x00\x00"
-        rank = bytes(gs)
-        del gs
-    table = ComplexityTable(limit=limit, complexity=bytes(f), rank=rank)
+        rank = memoryview(gs).toreadonly()
+    table = ComplexityTable(limit=limit, complexity=memoryview(f).toreadonly(), rank=rank)
     if out:
         storage.save(table, out)
     return table

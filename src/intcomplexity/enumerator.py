@@ -58,9 +58,8 @@ class _Engine:
         self.non_sum_h: dict[int, int] = {1: 0}
         # min height of an optimal non-product-rooted (One/sum) form: factors
         self.non_prod_h: dict[int, int] = {1: 0}
-        # per ones count, sorted values usable as sum parts / factors
+        # per ones count, sorted values usable as sum parts
         self.sum_pool: dict[int, list[int]] = {1: [1]}
-        self.prod_pool: dict[int, list[int]] = {}
         self.missing: list[int] = list(range(2, limit + 1))
         self._k = 1
         self._div_cache: dict[int, list[int]] = {}
@@ -167,11 +166,8 @@ class _Engine:
             if ph is not None:
                 nsh[V] = ph  # product-rooted forms serve as sum parts
         spool = sorted(V for V in assigned if V in nsh)
-        ppool = sorted(V for V in assigned if V in nph)
         if spool:
             self.sum_pool[k] = spool
-        if ppool:
-            self.prod_pool[k] = ppool
         self.missing = leftover
 
     def run(self, stop_value: int | None = None, ones_cap: int | None = None) -> None:

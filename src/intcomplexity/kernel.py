@@ -22,17 +22,20 @@ import zlib
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 
-# no -march=native: the cache may be shared by machines of different CPUs
-COMMAND = ("cc", "-O3", "-shared", "-fPIC")
+# no -march=native: the cache may be shared by machines of different CPUs.
+# -falign-loops=32 pins the hot loops' placement: without it an edit that
+# shrinks an earlier function can shift ic_products' inner loop across a
+# 32-byte boundary, which made the same machine code about a quarter slower
+COMMAND = ("cc", "-O3", "-falign-loops=32", "-shared", "-fPIC")
 
 # name -> (restype, argtypes) of each kernel function, in ctypes type names;
 # "p" is a pointer, passed as an address or None
 _SIGNATURES = {
     "ic_products": (None, "p q q p"),
     "ic_keys": (None, "p p q q p"),
-    "ic_chain": ("q", "p q q p"),
-    "ic_sums": ("i", "p q q q"),
-    "ic_ranks": ("i", "p p p p q q q"),
+    "ic_chain": ("i", "p q q"),
+    "ic_sums": ("i", "p q q q p"),
+    "ic_ranks": (None, "p p p p q q q p"),
     "ic_minimum": (None, "p p q"),
 }
 

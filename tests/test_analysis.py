@@ -184,13 +184,11 @@ def test_defect_rank_example_values(sieve_50k):
 def test_mersenne_table(sieve_50k):
     rep = an.mersenne_table(sieve_50k)
     assert rep.passed
-    rows = {n: (a, b, bound) for n, a, b, bound in rep.details["rows"]}
-    for n, (a, b, bound) in rows.items():
-        assert a == MERSENNE_EXCESS[n]
-    assert rows[10][0] == 2
-    assert rows[15][2] == 4
-    # consistency of the doubling recurrence at n = 3
-    assert rows[6][0] <= rows[3][0] + rows[3][1]
+    n = 1
+    while 2**n - 1 <= sieve_50k.limit:
+        assert sieve_50k.value(2**n - 1) - 2 * n == MERSENNE_EXCESS[n]
+        n += 1
+    assert n == 16  # every n with 2^n - 1 <= 50,000 was read
 
 
 # -- scans -----------------------------------------------------------------
@@ -306,17 +304,26 @@ def test_fit_collinear_points():
 
 def test_fit_orthogonality(sieve_50k):
     seq = an.derive_sequences(sieve_50k)
-    fit = an.fit_e_asymptote(seq, n_range=(10, 34))
+    fit = an.fit_e_asymptote(seq)
     res = np.array([fit.residuals[k] for k in sorted(fit.residuals)])
     ks = np.array(sorted(fit.residuals), dtype=np.float64)
     assert abs(res.sum()) < 1e-9
     assert abs((res * ks).sum()) < 1e-9
 
 
-def test_fit_needs_points(sieve_50k):
-    seq = an.derive_sequences(sieve_50k)
+def test_fit_needs_points():
+    seq = an.SequenceSet(
+        limit=10**12,
+        smallest={k: 3**k for k in range(1, 10)},
+        largest={},
+        second_largest={},
+        rank_firsts=None,
+        reliable_smallest_max=9,
+        reliable_largest_max=0,
+        reliable_rank_max=None,
+    )
     with pytest.raises(ValueError):
-        an.fit_e_asymptote(seq, n_range=(10, 12))
+        an.fit_e_asymptote(seq)
 
 
 # -- top log complexity ---------------------------------------------------------

@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intcomplexity.core import (
-    BoundPair,
     ComplexityTable,
     addend_bound,
-    complexity_bounds,
     defect,
     integer_logarithm,
     is_power_of_3,
@@ -50,18 +48,11 @@ def test_lower_bound_matches_naive(n):
 @given(st.integers(2, 10**9))
 def test_bounds_order(n):
     assert lower_bound(n) <= upper_bound(n) + 1e-9
-    bp = complexity_bounds(n)
-    assert bp.lower <= bp.upper
 
 
 def test_lower_bound_domain():
     with pytest.raises(ValueError):
         lower_bound(1)
-
-
-def test_bound_pair_validates():
-    with pytest.raises(ValueError):
-        BoundPair(lower=2.0, upper=1.0)
 
 
 def test_max_expressible_values():
@@ -146,6 +137,7 @@ def test_addend_bound_matches_naive(n, c):
 def test_mersenne_upper_bound():
     assert mersenne_upper_bound(2) == 3
     assert mersenne_upper_bound(10) == 22  # excess bound 2 over 2n
+    assert mersenne_upper_bound(15) - 30 == 4
     assert mersenne_upper_bound(32) == 67  # excess bound 3
     with pytest.raises(ValueError):
         mersenne_upper_bound(1)

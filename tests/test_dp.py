@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,35 @@ def test_first_fifteen():
     t = build(15)
     assert [t.value(n) for n in range(1, 16)] == FIRST_FIFTEEN
     assert not t.has_ranks
+
+
+def _traced(call):
+    """call() and the tracemalloc peak while it ran."""
+    build(100)  # the kernel is loaded (and compiled) outside the trace
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_returns_its_own_arrays():
+    limit = 2**20
+    t, peak = _traced(lambda: build(limit))
+    assert len(t.complexity) == limit + 1
+    assert peak < 1.1 * (limit + 1)  # the column, not a copy of it
+    t = build(1000, ranks=True)
+    for column in (t.complexity, t.rank):
+        assert isinstance(column, memoryview) and column.readonly
+
+
+def test_resume_holds_the_prefix_once(tmp_path):
+    limit = 2**20
+    path = str(tmp_path / "t.icx")
+    build(limit - 1, out=path)
+    t, peak = _traced(lambda: build(limit, resume=path))
+    assert t.complexity == build(limit).complexity
+    assert peak < 2.1 * (limit + 1)  # the loaded prefix and the column
 
 
 def test_known_power_values():

@@ -65,6 +65,12 @@ def _cli_build(cache, out, path=None, limit=20_000):
                             stderr=subprocess.PIPE, text=True)
 
 
+def test_kernel_compiles_without_warnings(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    strict = kernel.COMMAND + ("-Wall", "-Wextra", "-Werror")
+    assert os.path.exists(kernel.compiled(command=strict))
+
+
 def test_missing_compiler_is_an_error(tmp_path):
     empty = tmp_path / "bin"
     empty.mkdir()
