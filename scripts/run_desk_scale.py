@@ -15,6 +15,10 @@ each format, so every file is what the command prints with ``--table``
 and ``--format``.
 
     PYTHONPATH=src python3 scripts/run_desk_scale.py --limit 2000000 --outdir results
+
+At the paper's limit, ``--limit 477028439`` (the least number of rank
+19), a 2-core machine builds the table in about 20 s and writes the
+report in about 35 s more, at 1.4 GB peak RSS; the table file is 954 MB.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Everything derived from a finished complexity table.
 
 Sequence extraction (least/greatest value per complexity, least value
-per rank), shortest-expression reconstruction, verification of the
-power/prime/defect facts the tables are expected to satisfy, collapse
-and first-operation scans, Cunningham chain detection over the
-least-value sequence, and the least-squares fit of its logarithmic
-growth.
+per rank) and the top logarithmic complexities search a bytes copy of a
+column, 1 B/entry.  The defect-rank check and the first-operation scan
+work in blocks of ``block_width(limit)``, and the prime check sieves the
+primes below the limit (1 B/entry, 8 B a prime); only these three import
+numpy, on first use.  Reconstruction, the other checks and the collapse
+scan read single entries; the chain scan and the fit, the least values.
 
 ``tight_splits`` is the one enumeration of the splits n = p + q or
 n = p * q with f(p) + f(q) = f(n).  Reconstruction and the
@@ -19,17 +20,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .core import (
     LN3,
+    MAX_STORED,
     ComplexityTable,
     FIRST_SUM_NECESSARY,
     addend_bound,
     block_width,
+    defect,
     log_complexity,
     max_expressible,
     mersenne_upper_bound,
@@ -43,14 +45,6 @@ if TYPE_CHECKING:
 
 _DEFECT_RANK_COEF = 1.0 + 3.0 * math.log(6.0 / 7.0) / LN3
 _REAL_TOL = 1e-9
-
-
-def _comp_array(t: ComplexityTable) -> np.ndarray:
-    return np.frombuffer(t.complexity, dtype=np.uint8)
-
-
-def _rank_array(t: ComplexityTable) -> np.ndarray:
-    return np.frombuffer(t.rank, dtype=np.uint8)
 
 
 def _provenance(t: ComplexityTable) -> dict:
@@ -83,57 +77,37 @@ class SequenceSet:
         return {k: v for k, v in self.smallest.items() if k <= self.reliable_smallest_max}
 
 
-def _value_masks(col: np.ndarray):
-    """(k, col == k, index of the first k) for each value k that col holds,
-    ascending.  No sort: one 1 B/entry mask, refilled for each k."""
-    mask = np.empty(len(col), dtype=bool)
-    for k in range(int(col.max()) + 1):
-        np.equal(col, k, out=mask)
-        i = int(mask.argmax())
-        if mask[i]:
-            yield k, mask, i
+def _firsts(col: bytes, first: int) -> dict[int, int]:
+    """The least n >= 1 holding each value first, first + 1, ... of col,
+    up to the first value that col does not hold."""
+    found = ((v, col.find(v, 1)) for v in range(first, 256))
+    return dict(itertools.takewhile(lambda vn: vn[1] > 0, found))
 
 
 def derive_sequences(t: ComplexityTable) -> SequenceSet:
-    """The derived sequences of a table, from one mask per value; the rank
-    sequence comes with the table's ranks."""
-    c = _comp_array(t)[1:]  # complexity of n = i + 1
-    smallest: dict[int, int] = {}
+    """The derived sequences of a table, from ``find`` and ``rfind`` on a
+    bytes copy of one column at a time; ranks come with the table's ranks.
+
+    Each column holds every value up to its largest, so the searches stop
+    at the first value missing, and every value found is reliable.
+    Complexities: f(1) = 1 and f(n) <= f(n-1) + 1.  Ranks: a least-height
+    shortest expression of rank r > 0 has a part of rank r - 1, for were
+    every tallest part of lower rank, least-height forms of those parts
+    would lower the height.
+    """
+    c = bytes(t.complexity)
+    smallest = _firsts(c, 1)
     largest: dict[int, int] = {}
-    second_exact: dict[int, int] = {}  # second-greatest n with complexity exactly k
-    for k, mask, i in _value_masks(c):
-        smallest[k] = i + 1
-        back = mask[::-1]  # back[j] is n = limit - j
-        j = int(back.argmax())
-        largest[k] = t.limit - j
-        back[j] = False
-        j = int(back.argmax())
-        if back[j]:
-            second_exact[k] = t.limit - j
+    second_largest: dict[int, int] = {}  # second-greatest n with complexity <= k
+    top = [0, 0]  # the two greatest n of complexity <= k, ascending
+    for k in smallest:
+        largest[k] = c.rfind(k, 1)
+        top = sorted([*top, largest[k], c.rfind(k, 1, largest[k])])[-2:]
+        if top[0] > 0:
+            second_largest[k] = top[0]
+    del c  # one column's copy at a time
 
-    # second-greatest value with complexity <= k: merge per-k exact tops
-    top2: dict[int, int] = {}
-    best1 = best2 = 0
-    for k in range(1, max(largest) + 1):
-        for v in (largest.get(k, 0), second_exact.get(k, 0)):  # 0: no such n
-            if v > best1:
-                best1, best2 = v, best1
-            elif v > best2:
-                best2 = v
-        if best2:
-            top2[k] = best2
-
-    rank_firsts = None
-    reliable_rank_max = None
-    if t.has_ranks:
-        rank_firsts = {k: i + 1 for k, _, i in _value_masks(_rank_array(t)[1:])}
-        reliable_rank_max = 0
-        while rank_firsts.get(reliable_rank_max + 1) is not None:
-            reliable_rank_max += 1
-
-    reliable_smallest_max = 0
-    while (reliable_smallest_max + 1) in smallest:
-        reliable_smallest_max += 1
+    rank_firsts = _firsts(bytes(t.rank), 0) if t.has_ranks else None
     reliable_largest_max = 0
     while max_expressible(reliable_largest_max + 1) <= t.limit:
         reliable_largest_max += 1
@@ -142,11 +116,11 @@ def derive_sequences(t: ComplexityTable) -> SequenceSet:
         limit=t.limit,
         smallest=smallest,
         largest=largest,
-        second_largest=top2,
+        second_largest=second_largest,
         rank_firsts=rank_firsts,
-        reliable_smallest_max=reliable_smallest_max,
+        reliable_smallest_max=len(smallest),
         reliable_largest_max=reliable_largest_max,
-        reliable_rank_max=reliable_rank_max,
+        reliable_rank_max=None if rank_firsts is None else len(rank_firsts) - 1,
     )
 
 
@@ -338,9 +312,11 @@ def check_pow2_plus1(t: ComplexityTable) -> Report:
 def check_prime_plus1(t: ComplexityTable) -> Report:
     """Every prime's complexity is 1 + that of its predecessor (below the
     first sum-necessary number)."""
+    import numpy as np
+
     limit = min(t.limit, FIRST_SUM_NECESSARY - 1)
     ps = primes_up_to(limit)
-    c = _comp_array(t)
+    c = np.frombuffer(t.complexity, dtype=np.uint8)
     bad = ps[c[ps] != c[ps - 1] + 1]
     counterexamples = [
         {"n": int(p), "expected": int(c[p - 1] + 1), "actual": int(c[p])} for p in bad
@@ -355,30 +331,43 @@ def check_prime_plus1(t: ComplexityTable) -> Report:
 
 
 def check_defect_rank(t: ComplexityTable) -> Report:
-    """Defect dominates floor((rank-1)/2) * (1 + 3*log3(6/7))."""
+    """Defect dominates floor((rank-1)/2) * (1 + 3*log3(6/7)), checked in
+    blocks of ``block_width(limit)``: each block's defects, as float64,
+    against each bound that the block's ranks take."""
+    import numpy as np
+
     if not t.has_ranks:
         raise ValueError("defect-rank check requires a table with ranks")
-    c = _comp_array(t)[1:].astype(np.float64)
-    r = _rank_array(t)[1:].astype(np.int64)
-    n = np.arange(1, t.limit + 1, dtype=np.float64)
-    d = c - 3.0 * np.log(n) / LN3
-    rhs = ((r - 1) // 2).astype(np.float64) * _DEFECT_RANK_COEF
-    bad = np.nonzero(d + _REAL_TOL < rhs)[0]
-    counterexamples = [
-        {
-            "n": int(i) + 1,
-            "defect": float(d[i]),
-            "bound": float(rhs[i]),
-            "rank": int(r[i]),
-        }
-        for i in bad[:100]
-    ]
+    c = np.frombuffer(t.complexity, dtype=np.uint8)
+    r = np.frombuffer(t.rank, dtype=np.uint8)
+    width = block_width(t.limit)
+    violations = 0
+    counterexamples = []
+    for lo in range(1, t.limit + 1, width):
+        hi = min(lo + width, t.limit + 1)
+        x = np.arange(lo, hi, dtype=np.float64)
+        np.log(x, out=x)
+        x *= 3.0
+        x /= LN3
+        np.subtract(c[lo:hi], x, out=x)  # the defect, as core.defect takes it
+        x += _REAL_TOL
+        h = (r[lo:hi] >> 1) + (r[lo:hi] & 1)  # (rank + 1) // 2, which the bound steps with
+        bad = np.zeros(hi - lo, dtype=bool)
+        for k in range(int(h.max()) + 1):
+            bad |= (h == k) & (x < (k - 1) * _DEFECT_RANK_COEF)
+        at = np.flatnonzero(bad) + lo
+        del x, bad  # freed before the next block's
+        violations += len(at)
+        for n in at[: 100 - len(counterexamples)].tolist():
+            rank = t.rank[n]
+            counterexamples.append({"n": n, "defect": defect(n, t.complexity[n]),
+                                    "bound": (rank - 1) // 2 * _DEFECT_RANK_COEF, "rank": rank})
     return Report(
         name="defect-rank",
-        passed=not len(bad),
+        passed=not violations,
         checked=t.limit,
         counterexamples=counterexamples,
-        details={**_provenance(t), "violations": int(len(bad))},
+        details={**_provenance(t), "violations": violations},
     )
 
 
@@ -523,7 +512,9 @@ def first_operation_scan(t: ComplexityTable) -> list[FirstOpRecord]:
     order are those of classifying every n with f(n) != f(n-1) + 1.  Empty
     at any limit below the first sum-necessary number.
     """
-    c = _comp_array(t)  # at most 127 (see ComplexityTable), so no sum wraps
+    import numpy as np
+
+    c = np.frombuffer(t.complexity, dtype=np.uint8)  # at most 127, so no sum wraps
     width = block_width(t.limit)
     products = np.empty(width, dtype=np.uint8)
     minima = kernel.load().ic_products
@@ -601,12 +592,9 @@ def fit_e_asymptote(seq: SequenceSet) -> FitResult:
     ks = sorted(seq.reliable_smallest().keys())
     if len(ks) < 10:
         raise ValueError(f"need at least 10 reliable points, have {len(ks)}")
-    x = np.array(ks, dtype=np.float64)
-    y = np.array([math.log(seq.smallest[k]) / LN3 for k in ks])
-    xbar, ybar = x.mean(), y.mean()
-    slope = float(((x - xbar) * (y - ybar)).sum() / ((x - xbar) ** 2).sum())
-    intercept = float(ybar - slope * xbar)
-    residuals = {k: float(yv - (slope * k + intercept)) for k, yv in zip(ks, y)}
+    y = [math.log(seq.smallest[k]) / LN3 for k in ks]
+    slope, intercept = statistics.linear_regression(ks, y)
+    residuals = {k: yv - (slope * k + intercept) for k, yv in zip(ks, y)}
     return FitResult(slope=slope, intercept=intercept, residuals=residuals)
 
 
@@ -623,32 +611,38 @@ class TopLogEntry:
 
 
 def top_log_complexity(t: ComplexityTable, count: int) -> list[TopLogEntry]:
-    """The ``count`` largest values of complexity/log3(n), descending,
-    ties broken toward smaller n."""
+    """The ``count`` largest values of complexity/log3(n), descending, ties
+    broken toward smaller n, from ``find`` on a bytes copy of the column.
+
+    At a fixed complexity the value falls as n grows, so the first
+    ``count`` + 1 n >= 2 of each complexity hold the top ``count``, and
+    show whether another n lies within 1e-12 of an entry: were such an n
+    not among them, the count + 1 before it of its complexity would lie
+    above it, and unless one lay within 1e-12 of the entry, ``count`` of
+    them would outrank it.  This holds on any table of complexities >= 1.
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if t.limit < 2:
-        return []
-    c = _comp_array(t)[2:].astype(np.float64)
-    ns = np.arange(2, t.limit + 1, dtype=np.float64)
-    logc = c * LN3 / np.log(ns)
-    count = min(count, len(logc))
-    take = min(count + 64, len(logc))  # margin absorbs boundary ties
-    part = np.argpartition(-logc, take - 1)[:take]
-    order = part[np.lexsort((part, -logc[part]))][:count]
-    svals = np.sort(logc)
+    c = bytes(t.complexity)
+    found = []  # (-value, n)
+    for k in range(1, MAX_STORED + 1):
+        n = 1
+        for _ in range(count + 1):
+            if (n := c.find(k, n + 1)) < 0:
+                break
+            found.append((-log_complexity(n, k), n))
+    found.sort()
     out = []
-    for i in order:
-        v = float(logc[i])
-        lo = np.searchsorted(svals, v - 1e-12, side="left")
-        hi = np.searchsorted(svals, v + 1e-12, side="right")
+    for i, (neg, n) in enumerate(found[:count]):
+        # the values within 1e-12 of this one are next to it in this order
+        near = [w for w, _ in found[max(i - 1, 0) : i + 2] if neg - 1e-12 <= w <= neg + 1e-12]
         out.append(
             TopLogEntry(
-                n=int(i) + 2,
-                complexity=int(c[i]),
-                log_complexity=v,
-                rank=t.rank[int(i) + 2] if t.has_ranks else None,
-                unique=bool(hi - lo == 1),
+                n=n,
+                complexity=c[n],
+                log_complexity=-neg,
+                rank=t.rank[n] if t.has_ranks else None,
+                unique=len(near) == 1,
             )
         )
     return out

@@ -105,13 +105,13 @@ from . import kernel, storage
 _NONE = 127
 
 
-def _check_limit(limit: int, ranks: bool) -> None:
+def _check_limit(limit: int, ranks: bool, resume: str | None) -> None:
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > 2 and 3.0 * math.log2(limit) > MAX_COMPLEXITY:
         raise ValueError("limit too large for one-byte complexity storage")
-    # the columns the build holds, which are the returned table's
-    need = (limit + 1) * (3 if ranks else 1)
+    # the build's columns (the returned table's) and what a resume loads
+    need = (limit + 1) * (3 if ranks else 1) + (os.path.getsize(resume) if resume else 0)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(f"limit {limit} needs {need} bytes, more than physical memory ({have})")
@@ -152,7 +152,7 @@ def build(
     """
     if ranks and (checkpoint_every or resume):
         raise ValueError("checkpoints hold complexities only: ranks cannot be checkpointed or resumed")
-    _check_limit(limit, ranks)
+    _check_limit(limit, ranks, resume)
     if checkpoint_every and not out:
         raise ValueError("checkpointing requires an output path")
     lib = kernel.load()

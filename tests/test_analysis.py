@@ -2,14 +2,17 @@ import argparse
 import math
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import reference_analysis
 from golden import COLLAPSE_POWER, COMPOSITE_LEAST, MERSENNE_EXCESS, TOP_LOG
 from intcomplexity import analysis as an
-from intcomplexity import cli
+from intcomplexity import cli, reporting
 from intcomplexity.core import LN3, ComplexityTable, defect, max_expressible, second_max_expressible
+from intcomplexity.dp import build
 from intcomplexity.enumerator import oracle_complexity
 from intcomplexity.expr import ONE, infix, postfix_emit
 from intcomplexity.primality import is_prime, primes_up_to
@@ -347,3 +350,64 @@ def test_top_log_ordering(sieve_50k):
     assert vals == sorted(vals, reverse=True)
     with pytest.raises(ValueError):
         an.top_log_complexity(sieve_50k, 0)
+
+
+# -- against the whole-column references ------------------------------------
+
+
+def _reference_tables(t, desk_table=None):
+    """Limits 1 and 2, t, t with lowered values, and the desk table."""
+    tables = [build(1, ranks=True), build(2, ranks=True), t, _perturbed(t)]
+    return tables + [desk_table] if desk_table else tables
+
+
+def test_sequences_match_whole_column_reference(sieve_50k, desk_table):
+    for t in _reference_tables(sieve_50k, desk_table):
+        assert an.derive_sequences(t) == reference_analysis.derive_sequences(t), t.limit
+
+
+def test_top_log_matches_whole_column_reference(sieve_5k, sieve_50k, desk_table):
+    cases = [(t, count) for t in _reference_tables(sieve_50k, desk_table) for count in (1, 16, 50)]
+    cases += [(t, t.limit + 5) for t in _reference_tables(sieve_5k)]  # every n >= 2
+    for t, count in cases:
+        got = an.top_log_complexity(t, count)
+        want = reference_analysis.top_log_complexity(t, count)
+        fields = [[(e.n, e.complexity, e.rank, e.unique) for e in es] for es in (got, want)]
+        assert fields[0] == fields[1], (t.limit, count)
+        # math.log and numpy's log may differ in the last place
+        assert [e.log_complexity for e in got] == pytest.approx(
+            [e.log_complexity for e in want], rel=1e-15, abs=0
+        )
+
+
+def test_defect_rank_matches_whole_column_reference(sieve_50k, monkeypatch):
+    monkeypatch.setattr(an, "block_width", lambda limit: 777)  # many blocks
+    lowered = _perturbed(sieve_50k, count=2000)
+    t = ComplexityTable(limit=lowered.limit, complexity=lowered.complexity, rank=sieve_50k.rank)
+    rep = an.check_defect_rank(t)
+    violations, first = reference_analysis.defect_rank_violations(t)
+    assert violations > 100 and not rep.passed
+    assert rep.details["violations"] == violations
+    assert len(rep.counterexamples) == len(first) == 100
+    for got, want in zip(rep.counterexamples, first):
+        assert (got["n"], got["rank"]) == (want["n"], want["rank"])
+        for key in ("defect", "bound"):
+            assert reporting.fmt_real(got[key]) == reporting.fmt_real(want[key])
+
+
+@pytest.mark.parametrize(
+    "analysis, most",
+    # a bytes copy of a column is 1 B/entry; the whole-column versions held 2, 40 and 49
+    [(an.derive_sequences, 1.1), (lambda t: an.top_log_complexity(t, 16), 1.1),
+     (an.check_defect_rank, 0.5)],
+    ids=["derive_sequences", "top_log_complexity", "check_defect_rank"],
+)
+def test_analyses_hold_no_whole_column_arrays(desk_table, analysis, most):
+    analysis(desk_table)  # imports happen outside the trace
+    tracemalloc.start()
+    try:
+        analysis(desk_table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < most * desk_table.limit

@@ -90,6 +90,28 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("intcomplexity.")
 """
 
 
+# a fresh interpreter runs the subcommands that search the table's bytes
+# or read single entries, then prints the modules it loaded
+_SEARCH_ONLY = """
+import json, sys
+from intcomplexity import cli
+for argv in (["seq"], ["chains"], ["fit-e"], ["top-log"], ["query", "1439"], ["expr", "1439"]):
+    assert cli.main([*argv, "--table", sys.argv[1]]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_searching_reports_load_no_numpy(table_file):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SEARCH_ONLY, table_file],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "intcomplexity.analysis" in loaded and "numpy" not in loaded
+
+
 def test_table_reports_leave_out_expression_trees(table_file):
     proc = subprocess.run(
         [sys.executable, "-c", _READ_ONLY, table_file],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from golden import FIRST_FIFTEEN
-from intcomplexity import storage
+from intcomplexity import dp, storage
 from intcomplexity.core import ComplexityTable
 from intcomplexity.dp import build
 from intcomplexity.primality import factorize
@@ -75,6 +75,20 @@ def test_resume_holds_the_prefix_once(tmp_path):
     t, peak = _traced(lambda: build(limit, resume=path))
     assert t.complexity == build(limit).complexity
     assert peak < 2.1 * (limit + 1)  # the loaded prefix and the column
+
+
+def test_resume_counts_the_loaded_prefix(tmp_path, monkeypatch):
+    # memory for 1.5 columns: a build fits, but a resume holds the loaded
+    # file beside the column
+    limit = 2**20
+    path = str(tmp_path / "t.icx")
+    build(limit - 1, out=path)
+    real = os.sysconf
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 3 * (limit + 1) // 2}
+    monkeypatch.setattr(dp.os, "sysconf", lambda name: memory.get(name) or real(name))
+    with pytest.raises(ValueError, match="physical memory"):
+        build(limit, resume=path)
+    assert len(build(limit).complexity) == limit + 1
 
 
 def test_known_power_values():

@@ -1,52 +1,73 @@
-"""The paper's ranked table to 477,028,439, built through the CLI.
+"""The paper's ranked table to 477,028,439 and its desk report.
 
-Opt in with INTCOMPLEXITY_PAPER_SCALE=1: the test takes about 35 s and
-1.4 GB peak RSS on a 2-core machine, 30 s of it the build, so tier-1
-skips it.  It checks the least n of ranks 15-19 (477,028,439 is the
-least of rank 19) and the first number whose shortest expressions all
-start by subtracting 6, the only place below this limit where a sum
-split with an addend of 6 or more decides a complexity.
+Opt in with INTCOMPLEXITY_PAPER_SCALE=1: on a 2-core machine the test
+takes about a minute at about 1.4 GB peak RSS, about 20 s of it the
+build through the CLI and about 35 s ``scripts/run_desk_scale.py`` on
+that table, so tier-1 skips it.  From the report's files it checks the
+least n of ranks 15-19 (477,028,439 is the least of rank 19), that the
+first forced-subtraction record is the first number whose shortest
+expressions all start by subtracting 6 (the only place below this limit
+where a sum split with an addend of 6 or more decides a complexity),
+that every verification passes, and the doubling chains behind the
+reliable least values.
 """
 
+import importlib.util
+import json
 import os
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from golden import FIRST_SUB6, LEAST_BY_RANK
-from intcomplexity import analysis, storage
+from golden import CHAIN4_COMPLEXITIES, CHAIN_LONG, FIRST_SUB6, LEAST_BY_RANK
 from intcomplexity.cli import main
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("INTCOMPLEXITY_PAPER_SCALE") != "1",
-    reason="paper scale (about 35 s, 1.4 GB); set INTCOMPLEXITY_PAPER_SCALE=1",
+    reason="paper scale (about a minute, 1.4 GB); set INTCOMPLEXITY_PAPER_SCALE=1",
 )
 
 LIMIT = LEAST_BY_RANK[19]
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_scale.py"
 
 
-def least_of_each_rank(rank: bytes, wanted) -> dict[int, int]:
-    """Least n of each wanted rank, found block by block, since an index
-    array over the whole table would need gigabytes."""
-    r = np.frombuffer(rank, dtype=np.uint8)
-    found: dict[int, int] = {}
-    width = 1 << 22
-    for lo in range(1, len(r), width):
-        blk = r[lo : lo + width]
-        for k in set(wanted) - set(found):
-            hit = blk == k
-            if hit.any():
-                found[k] = lo + int(np.argmax(hit))
-        if len(found) == len(wanted):
-            break
-    return found
+def _desk_run():
+    spec = importlib.util.spec_from_file_location("run_desk_scale", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.run
+
+
+def _reports(text: str) -> list[dict]:
+    """The JSON documents of verify.json, one per check, in order."""
+    decoder, out, at = json.JSONDecoder(), [], 0
+    while at < len(text):
+        report, at = decoder.raw_decode(text, at)
+        out.append(report)
+        at += 1  # the newline after each document
+    return out
 
 
 def test_paper_scale(tmp_path):
-    path = str(tmp_path / "paper.icx")
-    assert main(["build", "--ranks", "--limit", str(LIMIT), "--out", path]) == 0
-    table = storage.load(path)
-    published = {k: LEAST_BY_RANK[k] for k in range(15, 20)}
-    assert least_of_each_rank(table.rank, published) == published
-    records = analysis.first_operation_scan(table)
-    assert [(r.n, r.classification) for r in records[:1]] == [(FIRST_SUB6, "sub6")]
+    table = tmp_path / f"table-{LIMIT}.icx"
+    assert main(["build", "--ranks", "--limit", str(LIMIT), "--out", str(table)]) == 0
+    assert _desk_run()(LIMIT, str(tmp_path)) == 0  # reuses the table
+
+    def rows(stem):
+        return json.loads((tmp_path / f"{stem}.json").read_text())
+
+    rank_first = {r["k"]: r["value"] for r in rows("sequences") if r["sequence"] == "rank_first"}
+    assert {k: rank_first[k] for k in range(15, 20)} == {k: LEAST_BY_RANK[k] for k in range(15, 20)}
+    firstop = rows("firstop")
+    assert (firstop[0]["n"], firstop[0]["classification"]) == (FIRST_SUB6, "sub6")
+    verify = _reports((tmp_path / "verify.json").read_text())
+    assert len(verify) == 7 and all(r["passed"] for r in verify)
+    lengths = {r["k"]: r["length"] for r in rows("chains")}
+    reliable = max(lengths)
+    assert sorted(lengths) == list(range(1, reliable + 1))
+    assert {k for k, n in lengths.items() if n == 4} == {
+        k for k in CHAIN4_COMPLEXITIES if k <= reliable
+    }
+    assert {k: n for k, n in lengths.items() if n > 4} == {
+        k: n for k, n in CHAIN_LONG.items() if k <= reliable
+    }
