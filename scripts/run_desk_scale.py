@@ -17,8 +17,9 @@ and ``--format``.
     PYTHONPATH=src python3 scripts/run_desk_scale.py --limit 2000000 --outdir results
 
 At the paper's limit, ``--limit 477028439`` (the least number of rank
-19), a 2-core machine builds the table in about 20 s and writes the
-report in about 35 s more, at 1.4 GB peak RSS; the table file is 954 MB.
+19), a 2-core machine builds the table in about 20 s at 1.4 GB peak RSS,
+and writes the report in about 20 s more; on a reused table the report
+peaks at 0.93 GB, the 954 MB table file and one block's buffers.
 """
 
 from __future__ import annotations

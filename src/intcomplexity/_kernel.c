@@ -1,14 +1,16 @@
-/* Block kernel of the table builder (dp.py), loaded through ctypes.
+/* Block kernel of the table builder (dp.py) and of the analyses' block
+ * passes (analysis.py), loaded through ctypes.
  *
- * Every column is a uint8 array indexed by n, passed whole; a block is
- * [lo, hi) with hi <= 2*lo, so every product part and every sum part
- * n - j with j >= 6 below lo is final when the block starts.  The kernel
- * allocates nothing and cannot fail: dp.build owns every buffer, the
- * scratch ones included, and sizes them.  Sums of two values wrap as
+ * Every column is a uint8 array indexed by n, passed whole; a builder
+ * block is [lo, hi) with hi <= 2*lo, so every product part and every sum
+ * part n - j with j >= 6 below lo is final when the block starts.  The
+ * kernel allocates nothing and cannot fail: its callers own every buffer,
+ * the scratch ones included, and size them.  Sums of two values wrap as
  * uint8, as the reference passes' numpy sums do; table values stay at or
  * below 127, so no sum used here wraps.  dp.py's docstring says what each
  * pass computes and why the result is exact.
  */
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -131,4 +133,73 @@ void ic_minimum(uint8_t *restrict a, const uint8_t *restrict b, int64_t n)
 {
     for (int64_t i = 0; i < n; i++)
         a[i] = a[i] < b[i] ? a[i] : b[i];
+}
+
+/* The analyses' passes over a finished table's block [lo, hi), lo >= 1,
+ * each of which sets flag[n - lo] (hi - lo bytes) to whether n fails its
+ * test; analysis.py says what each test is. */
+
+/* Flag each prime n in [lo, hi), lo >= 2, whose complexity is not
+ * c[n-1] + 1, and return the number of primes there.  The block is sieved
+ * with base (nbase ascending primes, every one up to sqrt(hi - 1)). */
+int64_t ic_prime_steps(const uint8_t *c, const int64_t *base, int64_t nbase,
+                       int64_t lo, int64_t hi, uint8_t *flag)
+{
+    int64_t w = hi - lo, primes = 0;
+    memset(flag, 1, (size_t)w);
+    for (int64_t k = 0; k < nbase && base[k] * base[k] < hi; k++) {
+        int64_t p = base[k], m = (lo + p - 1) / p * p;
+        for (m = m > p * p ? m : p * p; m < hi; m += p)
+            flag[m - lo] = 0;
+    }
+    for (int64_t i = 0; i < w; i++) {
+        uint8_t prime = flag[i];
+        primes += prime;
+        flag[i] = prime & (c[lo + i] != (uint8_t)(c[lo + i - 1] + 1));
+    }
+    return primes;
+}
+
+/* Flag each n in [lo, hi) whose defect c[n] - 3*log3(n), plus tol, lies
+ * below the bound ((r[n] + 1) / 2 - 1) * coef, with the float operations
+ * of the whole-column pass in its order, and return how many.  log runs
+ * only where c[n] < lim[r[n]]: lim[r] = ceil(bound + top - tol), where top
+ * is the block's largest 3*log3(n) with 1e-9 to spare for rounding, so a
+ * complexity at or above it keeps the defect above the bound anywhere in
+ * the block. */
+int64_t ic_defects(const uint8_t *c, const uint8_t *r, int64_t lo, int64_t hi,
+                   double coef, double tol, double ln3, uint8_t *flag)
+{
+    double top = log((double)(hi - 1)) * 3.0 / ln3 + 1e-9, bound[256];
+    int lim[256];
+    for (int k = 0; k < 256; k++) {
+        bound[k] = (double)((k >> 1) + (k & 1) - 1) * coef;
+        double least = ceil(bound[k] + top - tol);
+        lim[k] = least < 0 ? 0 : least > 256 ? 256 : (int)least;
+    }
+    int64_t count = 0;
+    for (int64_t n = lo; n < hi; n++) {
+        uint8_t bad = 0;
+        if (c[n] < lim[r[n]]) {
+            double x = log((double)n);
+            x *= 3.0;
+            x /= ln3;
+            x = (double)c[n] - x;
+            x += tol;
+            bad = x < bound[r[n]];
+        }
+        flag[n - lo] = bad;
+        count += bad;
+    }
+    return count;
+}
+
+/* Flag each n in [lo, hi), lo >= 2, that neither a +1 split (c[n] =
+ * c[n-1] + 1) nor a product split (its least c[d] + c[n/d] equals c[n])
+ * settles: the first-operation scan's survivors. */
+void ic_survivors(const uint8_t *c, int64_t lo, int64_t hi, uint8_t *flag)
+{
+    ic_products(c, lo, hi, flag);
+    for (int64_t i = 0; i < hi - lo; i++)
+        flag[i] = (c[lo + i] != (uint8_t)(c[lo + i - 1] + 1)) & (flag[i] != c[lo + i]);
 }

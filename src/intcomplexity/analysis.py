@@ -1,12 +1,15 @@
 """Everything derived from a finished complexity table.
 
 Sequence extraction (least/greatest value per complexity, least value
-per rank) and the top logarithmic complexities search a bytes copy of a
-column, 1 B/entry.  The defect-rank check and the first-operation scan
-work in blocks of ``block_width(limit)``, and the prime check sieves the
-primes below the limit (1 B/entry, 8 B a prime); only these three import
-numpy, on first use.  Reconstruction, the other checks and the collapse
-scan read single entries; the chain scan and the fit, the least values.
+per rank) and the top logarithmic complexities search the bytes or
+bytearray that holds a column, in place (``kernel.backing``).  The prime
+check, the defect-rank check and the first-operation scan work in blocks
+of ``block_width(limit)``: a function of the compiled block kernel
+(``_kernel.c``) flags the n of a block that fail the test, into one
+flag buffer the width of a block, and ``find`` walks the flags.
+Reconstruction, the other checks and the collapse scan read single
+entries; the chain scan and the fit, the least values.  Nothing here
+imports numpy.
 
 ``tight_splits`` is the one enumeration of the splits n = p + q or
 n = p * q with f(p) + f(q) = f(n).  Reconstruction and the
@@ -21,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -77,7 +81,7 @@ class SequenceSet:
         return {k: v for k, v in self.smallest.items() if k <= self.reliable_smallest_max}
 
 
-def _firsts(col: bytes, first: int) -> dict[int, int]:
+def _firsts(col: bytes | bytearray, first: int) -> dict[int, int]:
     """The least n >= 1 holding each value first, first + 1, ... of col,
     up to the first value that col does not hold."""
     found = ((v, col.find(v, 1)) for v in range(first, 256))
@@ -85,8 +89,8 @@ def _firsts(col: bytes, first: int) -> dict[int, int]:
 
 
 def derive_sequences(t: ComplexityTable) -> SequenceSet:
-    """The derived sequences of a table, from ``find`` and ``rfind`` on a
-    bytes copy of one column at a time; ranks come with the table's ranks.
+    """The derived sequences of a table, from ``find`` and ``rfind`` on the
+    bytes that hold each column; ranks come with the table's ranks.
 
     Each column holds every value up to its largest, so the searches stop
     at the first value missing, and every value found is reliable.
@@ -95,7 +99,7 @@ def derive_sequences(t: ComplexityTable) -> SequenceSet:
     every tallest part of lower rank, least-height forms of those parts
     would lower the height.
     """
-    c = bytes(t.complexity)
+    c = kernel.backing(t.complexity)
     smallest = _firsts(c, 1)
     largest: dict[int, int] = {}
     second_largest: dict[int, int] = {}  # second-greatest n with complexity <= k
@@ -105,9 +109,9 @@ def derive_sequences(t: ComplexityTable) -> SequenceSet:
         top = sorted([*top, largest[k], c.rfind(k, 1, largest[k])])[-2:]
         if top[0] > 0:
             second_largest[k] = top[0]
-    del c  # one column's copy at a time
+    del c  # a sliced column's copy, one at a time
 
-    rank_firsts = _firsts(bytes(t.rank), 0) if t.has_ranks else None
+    rank_firsts = _firsts(kernel.backing(t.rank), 0) if t.has_ranks else None
     reliable_largest_max = 0
     while max_expressible(reliable_largest_max + 1) <= t.limit:
         reliable_largest_max += 1
@@ -309,22 +313,38 @@ def check_pow2_plus1(t: ComplexityTable) -> Report:
     )
 
 
+def _flagged(flag: bytearray, lo: int, hi: int):
+    """The n in [lo, hi) whose byte flag[n - lo] is 1, ascending."""
+    i = flag.find(1, 0, hi - lo)
+    while i >= 0:
+        yield lo + i
+        i = flag.find(1, i + 1, hi - lo)
+
+
 def check_prime_plus1(t: ComplexityTable) -> Report:
     """Every prime's complexity is 1 + that of its predecessor (below the
-    first sum-necessary number)."""
-    import numpy as np
-
+    first sum-necessary number), checked in blocks of ``block_width(limit)``:
+    the kernel sieves each block with the primes up to sqrt(limit) and
+    flags the primes that break the rule."""
     limit = min(t.limit, FIRST_SUM_NECESSARY - 1)
-    ps = primes_up_to(limit)
-    c = np.frombuffer(t.complexity, dtype=np.uint8)
-    bad = ps[c[ps] != c[ps - 1] + 1]
-    counterexamples = [
-        {"n": int(p), "expected": int(c[p - 1] + 1), "actual": int(c[p])} for p in bad
-    ]
+    c = kernel.backing(t.complexity)
+    primes = primes_up_to(math.isqrt(limit))
+    base = array("q", primes).tobytes()  # int64, as the kernel reads them
+    width = block_width(t.limit)
+    flag = bytearray(min(width, limit))
+    steps = kernel.load().ic_prime_steps
+    ca, basea, fa = kernel.address(c), kernel.address(base), kernel.address(flag)
+    checked = 0
+    counterexamples = []
+    for lo in range(2, limit + 1, width):
+        hi = min(lo + width, limit + 1)
+        checked += steps(ca, basea, len(primes), lo, hi, fa)
+        counterexamples += [{"n": p, "expected": c[p - 1] + 1, "actual": c[p]}
+                            for p in _flagged(flag, lo, hi)]
     return Report(
         name="prime-plus1",
         passed=not counterexamples,
-        checked=len(ps),
+        checked=checked,
         counterexamples=counterexamples,
         details=_provenance(t),
     )
@@ -332,36 +352,24 @@ def check_prime_plus1(t: ComplexityTable) -> Report:
 
 def check_defect_rank(t: ComplexityTable) -> Report:
     """Defect dominates floor((rank-1)/2) * (1 + 3*log3(6/7)), checked in
-    blocks of ``block_width(limit)``: each block's defects, as float64,
-    against each bound that the block's ranks take."""
-    import numpy as np
-
+    blocks of ``block_width(limit)``: the kernel takes each defect as the
+    whole-column float64 pass did, log(n) * 3 / LN3 subtracted from f(n),
+    and flags those below the bound their rank sets."""
     if not t.has_ranks:
         raise ValueError("defect-rank check requires a table with ranks")
-    c = np.frombuffer(t.complexity, dtype=np.uint8)
-    r = np.frombuffer(t.rank, dtype=np.uint8)
+    c, r = kernel.backing(t.complexity), kernel.backing(t.rank)
     width = block_width(t.limit)
+    flag = bytearray(min(width, t.limit))
+    defects = kernel.load().ic_defects
+    ca, ra, fa = kernel.address(c), kernel.address(r), kernel.address(flag)
     violations = 0
     counterexamples = []
     for lo in range(1, t.limit + 1, width):
         hi = min(lo + width, t.limit + 1)
-        x = np.arange(lo, hi, dtype=np.float64)
-        np.log(x, out=x)
-        x *= 3.0
-        x /= LN3
-        np.subtract(c[lo:hi], x, out=x)  # the defect, as core.defect takes it
-        x += _REAL_TOL
-        h = (r[lo:hi] >> 1) + (r[lo:hi] & 1)  # (rank + 1) // 2, which the bound steps with
-        bad = np.zeros(hi - lo, dtype=bool)
-        for k in range(int(h.max()) + 1):
-            bad |= (h == k) & (x < (k - 1) * _DEFECT_RANK_COEF)
-        at = np.flatnonzero(bad) + lo
-        del x, bad  # freed before the next block's
-        violations += len(at)
-        for n in at[: 100 - len(counterexamples)].tolist():
-            rank = t.rank[n]
-            counterexamples.append({"n": n, "defect": defect(n, t.complexity[n]),
-                                    "bound": (rank - 1) // 2 * _DEFECT_RANK_COEF, "rank": rank})
+        violations += defects(ca, ra, lo, hi, _DEFECT_RANK_COEF, _REAL_TOL, LN3, fa)
+        for n in itertools.islice(_flagged(flag, lo, hi), 100 - len(counterexamples)):
+            counterexamples.append({"n": n, "defect": defect(n, c[n]),
+                                    "bound": (r[n] - 1) // 2 * _DEFECT_RANK_COEF, "rank": r[n]})
     return Report(
         name="defect-rank",
         passed=not violations,
@@ -445,7 +453,7 @@ class CollapseRecord:
 def collapse_scan(t: ComplexityTable, prime_cap: int) -> list[CollapseRecord]:
     c = t.complexity
     out = []
-    for p in primes_up_to(min(prime_cap, t.limit)).tolist():
+    for p in primes_up_to(min(prime_cap, t.limit)):
         cp = c[p]
         collapses = None
         k = 2
@@ -502,30 +510,27 @@ def classify_first_operation(t: ComplexityTable, n: int) -> FirstOpRecord:
 def first_operation_scan(t: ComplexityTable) -> list[FirstOpRecord]:
     """All n whose optimum forces a first subtraction of 6 or more.
 
-    Works in blocks of ``block_width(limit)``.  In each block numpy marks
-    the n that a +1 split settles, f(n) = f(n-1) + 1, and the builder's
-    kernel takes the least product split f(d) + f(n/d) of each n, which
-    settles n when it equals f(n); only the survivors of both are
-    classified one by one.  On a table whose values contradict each other
-    the least product can fall below f(n) and keep more survivors, but the
-    classification re-tests each.  The records, their fields and their
-    order are those of classifying every n with f(n) != f(n-1) + 1.  Empty
-    at any limit below the first sum-necessary number.
+    Works in blocks of ``block_width(limit)``.  In each block the kernel
+    flags the n that neither a +1 split, f(n) = f(n-1) + 1, nor the least
+    product split f(d) + f(n/d) (the builder's product pass) settles; only
+    these survivors are classified one by one.  On a table whose values
+    contradict each other the least product can fall below f(n) and keep
+    more survivors, but the classification re-tests each.  The records,
+    their fields and their order are those of classifying every n with
+    f(n) != f(n-1) + 1.  Empty at any limit below the first sum-necessary
+    number.
     """
-    import numpy as np
-
-    c = np.frombuffer(t.complexity, dtype=np.uint8)  # at most 127, so no sum wraps
+    c = kernel.backing(t.complexity)  # at most 127, so no sum wraps
     width = block_width(t.limit)
-    products = np.empty(width, dtype=np.uint8)
-    minima = kernel.load().ic_products
+    flag = bytearray(min(width, t.limit))
+    survivors = kernel.load().ic_survivors
+    ca, fa = kernel.address(c), kernel.address(flag)
     out = []
     for lo in range(2, t.limit + 1, width):
         hi = min(lo + width, t.limit + 1)
-        minima(c.ctypes.data, lo, hi, products.ctypes.data)
-        least = products[: hi - lo]
-        survivors = (c[lo:hi] != c[lo - 1 : hi - 1] + 1) & (least != c[lo:hi])
-        for n in np.flatnonzero(survivors) + lo:
-            rec = classify_first_operation(t, int(n))
+        survivors(ca, lo, hi, fa)
+        for n in _flagged(flag, lo, hi):
+            rec = classify_first_operation(t, n)
             if rec.classification not in ("product", "sub1"):
                 out.append(rec)
     return out
@@ -612,7 +617,7 @@ class TopLogEntry:
 
 def top_log_complexity(t: ComplexityTable, count: int) -> list[TopLogEntry]:
     """The ``count`` largest values of complexity/log3(n), descending, ties
-    broken toward smaller n, from ``find`` on a bytes copy of the column.
+    broken toward smaller n, from ``find`` on the bytes that hold the column.
 
     At a fixed complexity the value falls as n grows, so the first
     ``count`` + 1 n >= 2 of each complexity hold the top ``count``, and
@@ -623,7 +628,7 @@ def top_log_complexity(t: ComplexityTable, count: int) -> list[TopLogEntry]:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    c = bytes(t.complexity)
+    c = kernel.backing(t.complexity)
     found = []  # (-value, n)
     for k in range(1, MAX_STORED + 1):
         n = 1

@@ -313,8 +313,8 @@ def entry() -> int:
     """``main`` as a process of its own: the ``intcomplexity`` console script
     and ``python -m intcomplexity.cli``.
 
-    The objects the imports made (about 13k for ``build``, 21k once a
-    report has imported numpy) live until exit, so freezing them spares
+    The objects the imports made (about 14k for ``build``, 15k for a
+    report) live until exit, so freezing them spares
     them the full collection that interpreter shutdown would run over
     them: about 10 ms of a small build (medians of 30 on a 2-core machine:
     94 against 106 ms at limit 1000).

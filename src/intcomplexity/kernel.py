@@ -25,8 +25,12 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 # no -march=native: the cache may be shared by machines of different CPUs.
 # -falign-loops=32 pins the hot loops' placement: without it an edit that
 # shrinks an earlier function can shift ic_products' inner loop across a
-# 32-byte boundary, which made the same machine code about a quarter slower
-COMMAND = ("cc", "-O3", "-falign-loops=32", "-shared", "-fPIC")
+# 32-byte boundary, which made the same machine code about a quarter slower.
+# -ffp-contract=off keeps ic_defects' float operations those of the numpy
+# pass it replaced, with no fused multiply-add where a CPU has one.  The
+# source goes before these options, so that -lm follows the code that calls
+# log.
+COMMAND = ("cc", "-O3", "-falign-loops=32", "-ffp-contract=off", "-shared", "-fPIC", "-lm")
 
 # name -> (restype, argtypes) of each kernel function, in ctypes type names;
 # "p" is a pointer, passed as an address or None
@@ -37,6 +41,9 @@ _SIGNATURES = {
     "ic_sums": ("i", "p q q q p"),
     "ic_ranks": (None, "p p p p q q q p"),
     "ic_minimum": (None, "p p q"),
+    "ic_prime_steps": ("q", "p p q q q p"),
+    "ic_defects": ("q", "p p q q d d d p"),
+    "ic_survivors": (None, "p q q p"),
 }
 
 
@@ -62,7 +69,8 @@ def compiled(source: str = SOURCE, command=COMMAND) -> str:
     os.close(fd)
     try:
         try:
-            proc = subprocess.run([*command, "-o", tmp, source], capture_output=True, text=True)
+            proc = subprocess.run([command[0], source, *command[1:], "-o", tmp],
+                                  capture_output=True, text=True)
         except OSError as exc:
             raise RuntimeError(f"cannot compile the block kernel: {command[0]}: {exc}") from exc
         if proc.returncode != 0:
@@ -80,7 +88,7 @@ def load():
     declared; loaded once per process."""
     import ctypes
 
-    types = {"p": ctypes.c_void_p, "q": ctypes.c_int64, "i": ctypes.c_int}
+    types = {"p": ctypes.c_void_p, "q": ctypes.c_int64, "i": ctypes.c_int, "d": ctypes.c_double}
     lib = ctypes.CDLL(compiled())
     for name, (restype, argtypes) in _SIGNATURES.items():
         fn = getattr(lib, name)
@@ -90,8 +98,25 @@ def load():
 
 
 def address(buf) -> int:
-    """Address of the first byte of a writable buffer, such as a bytearray;
-    valid while the buffer lives and keeps its size."""
+    """Address of the first byte of a writable buffer, such as a bytearray,
+    or of a bytes object; valid while the buffer lives and keeps its size."""
     import ctypes
 
+    if isinstance(buf, bytes):
+        return ctypes.cast(buf, ctypes.c_void_p).value
     return ctypes.addressof(ctypes.c_char.from_buffer(buf))
+
+
+def backing(column) -> bytes | bytearray:
+    """The bytes or bytearray that holds a table column, for ``find`` and
+    ``address`` to read in place: the column if it is one, or the object
+    under a memoryview of the whole of one, such as the read-only views
+    that ``dp.build`` and ``storage.load`` return.  Any other buffer, a
+    sliced view for one, is copied into bytes."""
+    if isinstance(column, (bytes, bytearray)):
+        return column
+    held = column.obj if isinstance(column, memoryview) else None
+    whole = isinstance(held, (bytes, bytearray)) and column.contiguous
+    if whole and len(column) == column.nbytes == len(held):
+        return held
+    return bytes(column)

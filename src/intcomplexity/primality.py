@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # strong-pseudoprime bases that decide primality for all n < 3.3e24,
 # comfortably covering 64-bit inputs
@@ -40,17 +37,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n, ascending, as an int64 array (a bool sieve)."""
-    import numpy as np
-
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n, ascending (a bytearray sieve)."""
     n = max(n, 1)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\x00\x00"
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve)
+            sieve[p * p :: p] = bytes((n - p * p) // p + 1)
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 def factorize(n: int) -> list[int]:

@@ -3,17 +3,20 @@ replaced, kept as the references those searches are compared with.
 
 Each holds arrays over the whole table: ``derive_sequences`` one mask per
 value (2 B/entry), ``top_log_complexity`` float64 values, a partition
-and a full sort (40 B/entry), and ``defect_rank_violations`` float and
-int64 columns (49 B/entry).  They assume nothing about the table, so
-they hold on perturbed tables too.
+and a full sort (40 B/entry), ``defect_rank_violations`` float and int64
+columns (49 B/entry), and ``prime_plus1`` a bool sieve and the primes as
+int64 (about 1.5 B/entry).  They assume nothing about the table, so they
+hold on perturbed tables too.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from intcomplexity.analysis import _DEFECT_RANK_COEF, _REAL_TOL, SequenceSet, TopLogEntry
-from intcomplexity.core import LN3, ComplexityTable, max_expressible
+from intcomplexity.core import FIRST_SUM_NECESSARY, LN3, ComplexityTable, max_expressible
 
 
 def _value_masks(col: np.ndarray):
@@ -127,3 +130,19 @@ def defect_rank_violations(t: ComplexityTable) -> tuple[int, list[dict]]:
         for i in bad[:100]
     ]
     return len(bad), first
+
+
+def prime_plus1(t: ComplexityTable) -> tuple[int, list[dict]]:
+    """The number of primes below the first sum-necessary number within the
+    table, and the counterexamples to f(p) = f(p - 1) + 1 among them, from
+    a whole-range bool sieve."""
+    limit = min(t.limit, FIRST_SUM_NECESSARY - 1)
+    sieve = np.ones(max(limit, 1) + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    ps = np.flatnonzero(sieve)
+    c = np.frombuffer(t.complexity, dtype=np.uint8)
+    bad = ps[c[ps] != c[ps - 1] + 1]
+    return len(ps), [{"n": int(p), "expected": int(c[p - 1]) + 1, "actual": int(c[p])} for p in bad]

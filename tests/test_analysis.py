@@ -242,7 +242,7 @@ def _perturbed(t, seed=0, count=200):
     """Lower some primes by 1 and some n by 2, so that sum splits survive."""
     rng = random.Random(seed)
     comp = bytearray(t.complexity)
-    for p in rng.sample(primes_up_to(t.limit)[10:].tolist(), count):
+    for p in rng.sample(primes_up_to(t.limit)[10:], count):
         comp[p] -= 1
     for n in rng.sample(range(20, t.limit + 1), count):
         comp[n] -= 2
@@ -380,6 +380,18 @@ def test_top_log_matches_whole_column_reference(sieve_5k, sieve_50k, desk_table)
         )
 
 
+def test_prime_plus1_matches_whole_column_reference(sieve_50k, monkeypatch):
+    monkeypatch.setattr(an, "block_width", lambda limit: 777)  # many blocks
+    edge = build(2 + 3 * 777 - 1, ranks=True)  # its last block ends at the limit
+    tables = [build(1), build(2), build(3), edge, sieve_50k, _perturbed(sieve_50k)]
+    for t in tables:
+        rep = an.check_prime_plus1(t)
+        checked, counterexamples = reference_analysis.prime_plus1(t)
+        assert (rep.checked, rep.counterexamples) == (checked, counterexamples), t.limit
+        assert rep.passed == (not counterexamples)
+    assert len(rep.counterexamples) > 100  # the perturbed table's
+
+
 def test_defect_rank_matches_whole_column_reference(sieve_50k, monkeypatch):
     monkeypatch.setattr(an, "block_width", lambda limit: 777)  # many blocks
     lowered = _perturbed(sieve_50k, count=2000)
@@ -397,10 +409,12 @@ def test_defect_rank_matches_whole_column_reference(sieve_50k, monkeypatch):
 
 @pytest.mark.parametrize(
     "analysis, most",
-    # a bytes copy of a column is 1 B/entry; the whole-column versions held 2, 40 and 49
-    [(an.derive_sequences, 1.1), (lambda t: an.top_log_complexity(t, 16), 1.1),
-     (an.check_defect_rank, 0.5)],
-    ids=["derive_sequences", "top_log_complexity", "check_defect_rank"],
+    # a copy of a column would be 1 B/entry, and the whole-column versions held
+    # 2, 40, 49 and 1.5; a block's flags are 32 * sqrt(limit) bytes, 0.023 B/entry
+    [(an.derive_sequences, 0.02), (lambda t: an.top_log_complexity(t, 16), 0.05),
+     (an.check_defect_rank, 0.05), (an.check_prime_plus1, 0.05), (an.first_operation_scan, 0.05)],
+    ids=["derive_sequences", "top_log_complexity", "check_defect_rank", "check_prime_plus1",
+         "first_operation_scan"],
 )
 def test_analyses_hold_no_whole_column_arrays(desk_table, analysis, most):
     analysis(desk_table)  # imports happen outside the trace

@@ -112,6 +112,38 @@ def test_searching_reports_load_no_numpy(table_file):
     assert "intcomplexity.analysis" in loaded and "numpy" not in loaded
 
 
+# a fresh interpreter runs the reports whose passes run in the kernel's
+# blocks, then the desk script's whole report on the same table, and prints
+# the modules it loaded
+_BLOCK_REPORTS = """
+import importlib.util, json, shutil, sys
+from intcomplexity import cli, storage
+table, script, outdir = sys.argv[1:]
+for argv in (["verify", "all"], ["firstop"], ["collapse"]):
+    assert cli.main([*argv, "--table", table]) == 0
+spec = importlib.util.spec_from_file_location("run_desk_scale", script)
+desk = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(desk)
+limit = storage.load(table).limit
+shutil.copyfile(table, f"{outdir}/table-{limit}.icx")
+assert desk.run(limit, outdir) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_desk_report_loads_no_numpy(table_file, tmp_path):
+    script = ROOT / "scripts" / "run_desk_scale.py"
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCK_REPORTS, table_file, str(script), str(tmp_path)],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "reusing" in proc.stdout
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "intcomplexity.kernel" in loaded and "numpy" not in loaded
+
+
 def test_table_reports_leave_out_expression_trees(table_file):
     proc = subprocess.run(
         [sys.executable, "-c", _READ_ONLY, table_file],

@@ -1,6 +1,8 @@
-"""The compiled block kernel against the numpy reference builder, and its
-loader: the cache, a missing compiler, and builds that compile at once."""
+"""The compiled block kernel against the numpy reference builder, the
+table columns it reads in place, and its loader: the cache, a missing
+compiler, and builds that compile at once."""
 
+import ctypes
 import os
 import shutil
 import subprocess
@@ -11,7 +13,8 @@ import numpy as np
 import pytest
 
 import reference_builder
-from intcomplexity import kernel
+from intcomplexity import analysis, kernel, storage
+from intcomplexity.core import ComplexityTable
 from intcomplexity.dp import build
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +55,26 @@ def test_product_minima_of_any_values():
         minima(c.ctypes.data, lo, hi, got.ctypes.data)
         want = reference_builder.product_minima(c, lo, hi, np.empty(hi - lo, dtype=np.uint8))
         assert np.array_equal(got, want), (lo, hi)
+
+
+def test_table_columns_are_read_in_place(tmp_path):
+    t = build(1000, ranks=True)
+    path = str(tmp_path / "t.icx")
+    storage.save(t, path)
+    loaded = storage.load(path)
+    raw = bytes(t.complexity)
+    for column in (t.complexity, t.rank, loaded.complexity, loaded.rank, raw):
+        held = kernel.backing(column)
+        assert held is (column if column is raw else column.obj)
+        assert ctypes.string_at(kernel.address(held), len(column)) == column
+    # any other buffer is copied: the analyses read a sliced column alike
+    sliced = ComplexityTable(limit=500, complexity=t.complexity[:501], rank=t.rank[:501])
+    assert type(kernel.backing(sliced.complexity)) is bytes
+    assert kernel.backing(sliced.complexity) == t.complexity[:501]
+    whole = build(500, ranks=True)
+    for check in (analysis.check_prime_plus1, analysis.check_defect_rank,
+                  analysis.derive_sequences):
+        assert check(sliced) == check(whole)
 
 
 def _cli_build(cache, out, path=None, limit=20_000):

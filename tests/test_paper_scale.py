@@ -1,9 +1,9 @@
 """The paper's ranked table to 477,028,439 and its desk report.
 
 Opt in with INTCOMPLEXITY_PAPER_SCALE=1: on a 2-core machine the test
-takes about a minute at about 1.4 GB peak RSS, about 20 s of it the
-build through the CLI and about 35 s ``scripts/run_desk_scale.py`` on
-that table, so tier-1 skips it.  From the report's files it checks the
+takes about 40 s at about 1.4 GB peak RSS, the build's, about 20 s of it
+the build through the CLI and about 20 s ``scripts/run_desk_scale.py``
+on that table, so tier-1 skips it.  From the report's files it checks the
 least n of ranks 15-19 (477,028,439 is the least of rank 19), that the
 first forced-subtraction record is the first number whose shortest
 expressions all start by subtracting 6 (the only place below this limit
@@ -24,7 +24,7 @@ from intcomplexity.cli import main
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("INTCOMPLEXITY_PAPER_SCALE") != "1",
-    reason="paper scale (about a minute, 1.4 GB); set INTCOMPLEXITY_PAPER_SCALE=1",
+    reason="paper scale (about 40 s, 1.4 GB); set INTCOMPLEXITY_PAPER_SCALE=1",
 )
 
 LIMIT = LEAST_BY_RANK[19]

@@ -43,7 +43,8 @@ def test_factorize_reassembles(n):
 
 
 def test_primes_up_to():
-    assert primes_up_to(1).tolist() == []
-    assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert len(primes_up_to(10**5)) == 9592
+    assert primes_up_to(0) == primes_up_to(1) == []
+    assert primes_up_to(2) == [2]
+    assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes_up_to(10**5) == [n for n in range(10**5 + 1) if trial_is_prime(n)]
 
