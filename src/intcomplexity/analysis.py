@@ -9,7 +9,8 @@ of ``block_width(limit)``: a function of the compiled block kernel
 flag buffer the width of a block, and ``find`` walks the flags.
 Reconstruction, the other checks and the collapse scan read single
 entries; the chain scan and the fit, the least values.  Nothing here
-imports numpy.
+imports numpy.  The results are named tuples, whose ``_fields`` give a
+report's headers in ``cli``.
 
 ``tight_splits`` is the one enumeration of the splits n = p + q or
 n = p * q with f(p) + f(q) = f(n).  Reconstruction and the
@@ -23,10 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from array import array
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from .core import (
     LN3,
@@ -44,6 +43,7 @@ from . import kernel
 from .primality import is_prime, primes_up_to
 from .reporting import Report
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .expr import ExprTree
 
@@ -58,24 +58,21 @@ def _provenance(t: ComplexityTable) -> dict:
 # -- derived sequences -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SequenceSet:
+class SequenceSet(namedtuple("SequenceSet", (
+        "limit smallest largest second_largest rank_firsts"
+        " reliable_smallest_max reliable_largest_max reliable_rank_max"))):
     """Least/greatest values by complexity and least value by rank.
 
     ``smallest[k]``/``largest[k]`` are the least/greatest n with
     complexity exactly k; ``second_largest[k]`` is the second-greatest n
-    with complexity at most k.  Entries beyond the reliable bounds may
-    be artifacts of the table edge and are excluded from them.
+    with complexity at most k, each a dict from k to n; ``rank_firsts``
+    maps each rank to its least n, or is None without ranks.  Entries
+    beyond the reliable bounds (``reliable_*_max``, the largest reliable
+    k or rank) may be artifacts of the table edge and are excluded from
+    them.
     """
 
-    limit: int
-    smallest: dict[int, int]
-    largest: dict[int, int]
-    second_largest: dict[int, int]
-    rank_firsts: dict[int, int] | None
-    reliable_smallest_max: int
-    reliable_largest_max: int
-    reliable_rank_max: int | None
+    __slots__ = ()
 
     def reliable_smallest(self) -> dict[int, int]:
         return {k: v for k, v in self.smallest.items() if k <= self.reliable_smallest_max}
@@ -438,16 +435,14 @@ def mersenne_table(t: ComplexityTable) -> Report:
 # -- scans --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CollapseRecord:
-    """Whether powers of p stop costing multiples of p's complexity."""
+class CollapseRecord(namedtuple("CollapseRecord", (
+        "p collapses_at checked_up_to complexity rank log_complexity"))):
+    """Whether powers of p stop costing multiples of p's complexity:
+    ``collapses_at`` is the least exponent k with c(p^k) < k*c(p), or None
+    while none is; ``checked_up_to`` is the largest exponent with p^k
+    inside the table; ``rank`` is None without ranks."""
 
-    p: int
-    collapses_at: int | None  # least exponent k with c(p^k) < k*c(p); None = open
-    checked_up_to: int  # largest exponent with p^k inside the table
-    complexity: int
-    rank: int | None
-    log_complexity: float
+    __slots__ = ()
 
 
 def collapse_scan(t: ComplexityTable, prime_cap: int) -> list[CollapseRecord]:
@@ -478,14 +473,13 @@ def collapse_scan(t: ComplexityTable, prime_cap: int) -> list[CollapseRecord]:
     return out
 
 
-@dataclass(frozen=True)
-class FirstOpRecord:
-    """How the outermost operation of n's shortest expressions must look."""
+class FirstOpRecord(namedtuple("FirstOpRecord", (
+        "n has_product_decomposition minimal_addend classification"))):
+    """How the outermost operation of n's shortest expressions must look:
+    ``minimal_addend`` is None when no sum is tight, and ``classification``
+    is product, sub1, sub6, sub8, sub9 or sub_other."""
 
-    n: int
-    has_product_decomposition: bool
-    minimal_addend: int | None
-    classification: str  # product, sub1, sub6, sub8, sub9, sub_other
+    __slots__ = ()
 
 
 def classify_first_operation(t: ComplexityTable, n: int) -> FirstOpRecord:
@@ -536,16 +530,14 @@ def first_operation_scan(t: ComplexityTable) -> list[FirstOpRecord]:
     return out
 
 
-@dataclass(frozen=True)
-class ChainRecord:
-    """Backward doubling chain of primes ending at a least-value entry."""
+class ChainRecord(namedtuple("ChainRecord", "n end chain length end_is_prime near_prime")):
+    """Backward doubling chain of primes ending at a least-value entry:
+    ``end`` is the least value of complexity ``n``, ``chain`` is
+    p_1 .. p_k with p_{i+1} = 2 p_i + 1 and p_k = end, and ``near_prime``
+    maps kk = 1, 2, 3 to whether (end - kk) / (kk + 1) is prime, or None
+    where it is not an integer."""
 
-    n: int  # complexity whose least value this is
-    end: int
-    chain: list[int]  # p_1 .. p_k with p_{i+1} = 2 p_i + 1, last = end
-    length: int
-    end_is_prime: bool
-    near_prime: dict[int, bool | None] = field(default_factory=dict)
+    __slots__ = ()
 
 
 def _backward_chain(p: int) -> list[int]:
@@ -584,21 +576,27 @@ def chain_scan(seq: SequenceSet) -> list[ChainRecord]:
 # -- least-value asymptote ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    residuals: dict[int, float]
+class FitResult(namedtuple("FitResult", "slope intercept residuals")):
+    """The fitted line, and each k's residual log3(smallest[k]) - (slope*k + intercept)."""
+
+    __slots__ = ()
 
 
 def fit_e_asymptote(seq: SequenceSet) -> FitResult:
     """Ordinary least squares of log3(smallest[k]) against k, over the
-    reliable range."""
+    reliable range, by the ``math.fsum`` sums of
+    ``statistics.linear_regression`` (Python 3.11), so both give the same
+    floats."""
     ks = sorted(seq.reliable_smallest().keys())
     if len(ks) < 10:
         raise ValueError(f"need at least 10 reliable points, have {len(ks)}")
     y = [math.log(seq.smallest[k]) / LN3 for k in ks]
-    slope, intercept = statistics.linear_regression(ks, y)
+    kbar = math.fsum(ks) / len(ks)
+    ybar = math.fsum(y) / len(y)
+    sky = math.fsum((k - kbar) * (yv - ybar) for k, yv in zip(ks, y))
+    skk = math.fsum((d := k - kbar) * d for k in ks)
+    slope = sky / skk
+    intercept = ybar - slope * kbar
     residuals = {k: yv - (slope * k + intercept) for k, yv in zip(ks, y)}
     return FitResult(slope=slope, intercept=intercept, residuals=residuals)
 
@@ -606,13 +604,12 @@ def fit_e_asymptote(seq: SequenceSet) -> FitResult:
 # -- logarithmic complexity ranking --------------------------------------
 
 
-@dataclass(frozen=True)
-class TopLogEntry:
-    n: int
-    complexity: int
-    log_complexity: float
-    rank: int | None
-    unique: bool  # no other n in range shares this value (within 1e-12)
+class TopLogEntry(namedtuple("TopLogEntry", "n complexity log_complexity rank unique")):
+    """One n of large logarithmic complexity; ``rank`` is None without
+    ranks, and ``unique`` says that no other n in range shares its value
+    (within 1e-12)."""
+
+    __slots__ = ()
 
 
 def top_log_complexity(t: ComplexityTable, count: int) -> list[TopLogEntry]:

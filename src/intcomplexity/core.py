@@ -12,9 +12,6 @@ the builder and the first-operation scan share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .primality import factorize
 
 LN3 = math.log(3.0)
 
@@ -90,6 +87,8 @@ def integer_logarithm(n: int) -> int:
     of the flat product-of-sums expression for n."""
     if n < 2:
         raise ValueError(f"integer_logarithm requires n >= 2, got {n}")
+    from .primality import factorize
+
     return sum(factorize(n))
 
 
@@ -177,7 +176,6 @@ def is_power_of_3(n: int) -> bool:
     return n == 1
 
 
-@dataclass(frozen=True)
 class ComplexityTable:
     """Densely packed complexity values for n = 1..limit.
 
@@ -187,27 +185,41 @@ class ComplexityTable:
     their own arrays, which compare equal to the same bytes; ``bytes`` are
     accepted too.  No complexity exceeds MAX_STORED.  A table is its
     values: it records no builder, and ``storage.save`` writes these
-    bytes behind a header of limit and flags.  Immutable after
-    construction; safe to share between threads.
+    bytes behind a header of limit and flags.  Two tables are equal when
+    their limits and columns are; a table is not hashable.  Its attributes cannot be assigned
+    after construction, so a table is safe to share between threads.
     """
 
-    limit: int
-    complexity: memoryview | bytes
-    rank: memoryview | bytes | None = None
+    __slots__ = ("limit", "complexity", "rank")
 
-    def __post_init__(self) -> None:
-        if self.limit < 1:
-            raise ValueError(f"limit must be >= 1, got {self.limit}")
-        if len(self.complexity) != self.limit + 1:
+    def __init__(self, limit: int, complexity: memoryview | bytes,
+                 rank: memoryview | bytes | None = None) -> None:
+        if limit < 1:
+            raise ValueError(f"limit must be >= 1, got {limit}")
+        if len(complexity) != limit + 1:
             raise ValueError(
-                f"complexity array has {len(self.complexity)} bytes, "
-                f"expected limit + 1 = {self.limit + 1}"
+                f"complexity array has {len(complexity)} bytes, "
+                f"expected limit + 1 = {limit + 1}"
             )
-        if self.rank is not None and len(self.rank) != self.limit + 1:
+        if rank is not None and len(rank) != limit + 1:
             raise ValueError("rank array length does not match limit")
-        if self.complexity[1] != 1:
+        if complexity[1] != 1:
             raise ValueError("complexity of 1 must be 1")
-        check_stored(self.complexity)
+        check_stored(complexity)
+        for name, value in (("limit", limit), ("complexity", complexity), ("rank", rank)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a ComplexityTable is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a ComplexityTable is read-only: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.limit, self.complexity, self.rank)
+                == (other.limit, other.complexity, other.rank))
 
     @property
     def has_ranks(self) -> bool:

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations_with_replacement, product
 
 from .core import ComplexityTable, max_expressible
@@ -33,12 +32,11 @@ class CapExceededError(ValueError):
     """The ones budget ran out before the target value was produced."""
 
 
-@dataclass
-class OracleResult:
-    n: int
-    complexity: int
-    shortest: list[ExprTree]
-    min_height: int
+class OracleResult(namedtuple("OracleResult", "n complexity shortest min_height")):
+    """The complexity of n, every canonical shortest expression of n (a
+    list of ``ExprTree``), and the least height among them."""
+
+    __slots__ = ()
 
 
 def default_ones_cap(n: int) -> int:

@@ -10,7 +10,7 @@ canonical form; parsing re-canonicalizes.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 _ONE_OP = "1"
 _SUM_OP = "+"

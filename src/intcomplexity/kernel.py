@@ -9,9 +9,9 @@ temporary file in that directory and renames it into place, so builds
 that start together on an empty cache each finish with a whole library.
 Without a C compiler, ``load`` raises RuntimeError.
 
-The modules this needs beyond the package's own (ctypes, subprocess,
-tempfile) are imported on first use, so that importing the package or
-loading a table loads none of them.
+The modules this needs beyond the package's own (ctypes, subprocess)
+are imported on first use, so that importing the package or loading a
+table loads neither of them.
 """
 
 from __future__ import annotations
@@ -62,11 +62,10 @@ def compiled(source: str = SOURCE, command=COMMAND) -> str:
     if os.path.exists(path):
         return path
     import subprocess
-    import tempfile
 
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=".so", dir=directory)
-    os.close(fd)
+    # a name of its own for each process and each call, which cc creates
+    tmp = os.path.join(directory, f".kernel-{os.getpid()}-{os.urandom(4).hex()}.so")
     try:
         try:
             proc = subprocess.run([command[0], source, *command[1:], "-o", tmp],

@@ -11,7 +11,7 @@ json, because ``-0`` would parse back as the int 0.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 # csv and json are imported where a format needs them: ``build`` loads this
 # module through ``cli`` but writes no report
@@ -42,15 +42,19 @@ def _json_value(v):
     return v
 
 
-@dataclass
-class Report:
-    """Outcome of one verification: verdict, counterexamples, statistics."""
+class Report(namedtuple("Report", "name passed checked counterexamples details")):
+    """Outcome of one verification: verdict, counterexamples, statistics.
 
-    name: str
-    passed: bool
-    checked: int
-    counterexamples: list[dict] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    A named tuple; ``counterexamples`` and ``details`` default to a new
+    empty list and dict for each report."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, passed: bool, checked: int,
+                counterexamples: list[dict] | None = None, details: dict | None = None):
+        return super().__new__(cls, name, passed, checked,
+                               [] if counterexamples is None else counterexamples,
+                               {} if details is None else details)
 
 
 def emit_rows(headers: list[str], rows: list[list], fmt: str) -> str:

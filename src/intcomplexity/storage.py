@@ -22,14 +22,14 @@ raises UnknownFlagsError.
 A checkpoint is the unranked table of a build's finished prefix, byte
 for byte the file a build to that limit writes.  Writes go to a
 temporary file in the target directory and are renamed into place, so a
-torn write never leaves a half-written table behind.
+torn write never leaves a half-written table behind.  Files are created
+with mode 0o666 less the umask, like any file a program opens to write.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import tempfile
 import zlib
 
 from .core import ComplexityTable
@@ -78,7 +78,9 @@ def _atomic_write(path: str, head: bytes, *payload) -> None:
     """Write head, the payload buffers and the checksum of both, without
     joining them."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".icx-", dir=directory)
+    # a name of its own for each process and each call
+    tmp = os.path.join(directory, f".icx-{os.getpid()}-{os.urandom(4).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in (head, *payload, _U64.pack(_checksum(head, *payload))):

@@ -1,6 +1,7 @@
 import argparse
 import math
 import random
+import statistics
 import sys
 import tracemalloc
 
@@ -312,6 +313,34 @@ def test_fit_orthogonality(sieve_50k):
     ks = np.array(sorted(fit.residuals), dtype=np.float64)
     assert abs(res.sum()) < 1e-9
     assert abs((res * ks).sum()) < 1e-9
+
+
+def test_fit_is_statistics_linear_regression(sieve_50k, desk_seq):
+    # the fit's own fsum sums are those of statistics.linear_regression
+    for seq in (an.derive_sequences(sieve_50k), desk_seq):
+        fit = an.fit_e_asymptote(seq)
+        ks = sorted(seq.reliable_smallest())
+        want = statistics.linear_regression(ks, [math.log(seq.smallest[k]) / LN3 for k in ks])
+        assert (fit.slope, fit.intercept) == (want.slope, want.intercept)
+
+
+def test_records_cannot_be_assigned(sieve_50k):
+    seq = an.derive_sequences(sieve_50k)
+    records = [
+        seq,
+        an.fit_e_asymptote(seq),
+        an.chain_scan(seq)[0],
+        an.collapse_scan(sieve_50k, 10)[0],
+        an.classify_first_operation(sieve_50k, 1439),
+        an.top_log_complexity(sieve_50k, 1)[0],
+        an.check_pow2_plus1(sieve_50k),
+        oracle_complexity(23),
+    ]
+    for rec in records:
+        with pytest.raises(AttributeError):
+            rec.note = 0  # no attribute beyond the fields
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], None)
 
 
 def test_fit_needs_points():

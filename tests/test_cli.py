@@ -31,6 +31,25 @@ def run(capsys, argv):
     return rc, out
 
 
+# what no command runs, and what dataclasses, statistics, tempfile or
+# typing would load (inspect comes with dataclasses)
+_START_UP = {"dataclasses", "inspect", "statistics", "tempfile", "typing"}
+
+
+def child_modules(script, *argv) -> tuple[str, set[str]]:
+    """Standard output of a fresh interpreter that runs script with argv,
+    and the modules it printed as its last line.  The child runs with -S,
+    since a .pth file in site-packages may import modules itself (typing
+    and tempfile among them) and hide a regression here."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, *argv],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, set(json.loads(proc.stdout.splitlines()[-1]))
+
+
 # a fresh interpreter runs a ranked build, prints the modules it loaded,
 # then resolves the package's names
 _BUILD_ONLY = """
@@ -45,16 +64,11 @@ for name in ["oracle_complexity", "infix", *intcomplexity.__all__]:
 
 
 def test_build_loads_only_the_builder(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-c", _BUILD_ONLY, str(tmp_path / "t.icx")],
-        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    _, loaded = child_modules(_BUILD_ONLY, str(tmp_path / "t.icx"))
     assert {"intcomplexity.dp", "intcomplexity.kernel"} <= loaded
     assert not {f"intcomplexity.{m}" for m in ("analysis", "enumerator", "expr")} & loaded
     assert "numpy" not in loaded  # the kernel builds; numpy is the tests' reference
+    assert not _START_UP & loaded
 
 
 # a fresh interpreter imports the package and loads a table, as the
@@ -69,13 +83,7 @@ print(json.dumps(sorted(sys.modules)))
 
 
 def test_loading_a_table_loads_no_builder_modules(table_file):
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOAD_ONLY, table_file],
-        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    _, loaded = child_modules(_LOAD_ONLY, table_file)
     assert not {"numpy", "ctypes", "hashlib", "subprocess"} & loaded
 
 
@@ -102,14 +110,9 @@ print(json.dumps(sorted(sys.modules)))
 
 
 def test_searching_reports_load_no_numpy(table_file):
-    proc = subprocess.run(
-        [sys.executable, "-c", _SEARCH_ONLY, table_file],
-        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    _, loaded = child_modules(_SEARCH_ONLY, table_file)
     assert "intcomplexity.analysis" in loaded and "numpy" not in loaded
+    assert not _START_UP & loaded
 
 
 # a fresh interpreter runs the reports whose passes run in the kernel's
@@ -133,25 +136,14 @@ print(json.dumps(sorted(sys.modules)))
 
 def test_desk_report_loads_no_numpy(table_file, tmp_path):
     script = ROOT / "scripts" / "run_desk_scale.py"
-    proc = subprocess.run(
-        [sys.executable, "-c", _BLOCK_REPORTS, table_file, str(script), str(tmp_path)],
-        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "reusing" in proc.stdout
-    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    out, loaded = child_modules(_BLOCK_REPORTS, table_file, str(script), str(tmp_path))
+    assert "reusing" in out
     assert "intcomplexity.kernel" in loaded and "numpy" not in loaded
+    assert not _START_UP & loaded
 
 
 def test_table_reports_leave_out_expression_trees(table_file):
-    proc = subprocess.run(
-        [sys.executable, "-c", _READ_ONLY, table_file],
-        cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    _, loaded = child_modules(_READ_ONLY, table_file)
     assert "intcomplexity.analysis" in loaded
     assert "intcomplexity.expr" not in loaded
 
@@ -321,6 +313,23 @@ def test_collapse_and_chains(table_file, capsys):
     headers, rows = parse_rows(out, "csv")
     chains = {r[0]: r for r in rows}
     assert chains[13][3] == "2-5-11-23-47"
+
+
+# the csv headers of the reports made of records: their fields, in order
+_RECORD_HEADERS = {
+    "collapse": ["p", "collapses_at", "checked_up_to", "complexity", "rank", "log_complexity"],
+    "firstop": ["n", "has_product_decomposition", "minimal_addend", "classification"],
+    "top-log": ["n", "complexity", "log_complexity", "rank", "unique"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RECORD_HEADERS))
+def test_record_headers_keep_their_order(table_file, capsys, command):
+    want = _RECORD_HEADERS[command]
+    rc, out = run(capsys, [command, "--table", table_file, "--format", "csv"])
+    assert rc == 0 and out.splitlines()[0] == ",".join(want)
+    rc, out = run(capsys, [command, "--table", table_file, "--format", "json"])
+    assert rc == 0 and all(list(rec) == sorted(want) for rec in json.loads(out))
 
 
 def test_firstop(table_file, capsys):

@@ -159,6 +159,23 @@ def test_table_validation():
         ComplexityTable(limit=2, complexity=b"\x00\x02\x02")
 
 
+def test_table_cannot_be_assigned(sieve_5k):
+    for name in ("limit", "complexity", "rank", "other"):
+        with pytest.raises(AttributeError):
+            setattr(sieve_5k, name, None)
+        with pytest.raises(AttributeError):
+            delattr(sieve_5k, name)
+    assert sieve_5k.limit == 5000 and sieve_5k.has_ranks
+
+
+def test_table_equality(sieve_5k):
+    same = ComplexityTable(5000, bytes(sieve_5k.complexity), bytes(sieve_5k.rank))
+    assert same == sieve_5k and not same != sieve_5k
+    assert ComplexityTable(limit=5000, complexity=sieve_5k.complexity) != sieve_5k
+    assert ComplexityTable(limit=4999, complexity=sieve_5k.complexity[:5000]) != sieve_5k
+    assert sieve_5k != (5000, sieve_5k.complexity, sieve_5k.rank)
+
+
 def test_table_accessors(sieve_5k):
     assert sieve_5k.value(1) == 1
     assert len(sieve_5k) == 5000

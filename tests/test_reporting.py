@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -65,6 +66,15 @@ def test_text_alignment():
     lines = out.splitlines()
     assert lines[0].startswith("n")
     assert len(lines) == len(ROWS) + 1
+
+
+def test_reports_own_their_defaults():
+    first, second = Report("a", True, 0), Report(name="b", passed=True, checked=0)
+    first.counterexamples.append({"n": 1})
+    first.details["limit"] = 1
+    assert second.counterexamples == [] and second.details == {}
+    with pytest.raises(AttributeError):
+        first.passed = False
 
 
 def test_report_emission():

@@ -1,4 +1,5 @@
 import os
+import stat
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -18,6 +19,7 @@ from intcomplexity.storage import (
     UnsupportedVersionError,
     load,
     save,
+    save_checkpoint,
 )
 
 
@@ -33,6 +35,34 @@ def test_roundtrip_with_ranks(table, tmp_path):
     assert got.limit == table.limit
     assert got.complexity == table.complexity
     assert got.rank == table.rank
+
+
+def test_loaded_table_equals_the_built_one(table, tmp_path):
+    path = str(tmp_path / "t.icx")
+    for t in (table, build(500)):
+        save(t, path)
+        assert load(path) == t
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_files_follow_the_umask(table, tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        save(table, str(tmp_path / "t.icx"))
+        save_checkpoint(str(tmp_path / "c.icx"), table.complexity[:501])
+    finally:
+        os.umask(old)
+    assert sorted(os.listdir(tmp_path)) == ["c.icx", "t.icx"]  # no temporary file is left
+    for name in ("t.icx", "c.icx"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    from intcomplexity.storage import _atomic_write
+
+    with pytest.raises(TypeError):  # the checksum of a payload that is no buffer
+        _atomic_write(str(tmp_path / "t.icx"), b"head", object())
+    assert os.listdir(tmp_path) == []
 
 
 def test_roundtrip_without_ranks(tmp_path):
