@@ -3,14 +3,15 @@
 Sequence extraction (least/greatest value per complexity, least value
 per rank) and the top logarithmic complexities search the bytes or
 bytearray that holds a column, in place (``kernel.backing``).  The prime
-check, the defect-rank check and the first-operation scan work in blocks
-of ``block_width(limit)``: a function of the compiled block kernel
-(``_kernel.c``) flags the n of a block that fail the test, into one
-flag buffer the width of a block, and ``find`` walks the flags.
-Reconstruction, the other checks and the collapse scan read single
-entries; the chain scan and the fit, the least values.  Nothing here
-imports numpy.  The results are named tuples, whose ``_fields`` give a
-report's headers in ``cli``.
+check, the defect-rank check and the first-operation scan are block
+passes: ``_blocks`` is the one loop over blocks of ``block_width(limit)``,
+which runs a function of the compiled block kernel (``_kernel.c``) on
+each block to flag the n that fail its test, and hands back each call's
+result with the flagged n.  Reconstruction, the other checks and the
+collapse scan read single entries; the chain scan and the fit, the least
+values.  Nothing here imports numpy.  Every verification's ``Report``
+comes from ``_report``; the other results are named tuples, whose
+``_fields`` give a report's headers in ``cli``.
 
 ``tight_splits`` is the one enumeration of the splits n = p + q or
 n = p * q with f(p) + f(q) = f(n).  Reconstruction and the
@@ -51,8 +52,12 @@ _DEFECT_RANK_COEF = 1.0 + 3.0 * math.log(6.0 / 7.0) / LN3
 _REAL_TOL = 1e-9
 
 
-def _provenance(t: ComplexityTable) -> dict:
-    return {"limit": t.limit}
+def _report(name: str, t: ComplexityTable, checked: int, counterexamples: list[dict],
+            **details) -> Report:
+    """A verification's report: it passes when there is no counterexample,
+    and its details are the table's limit and ``details``."""
+    return Report(name=name, passed=not counterexamples, checked=checked,
+                  counterexamples=counterexamples, details={"limit": t.limit, **details})
 
 
 # -- derived sequences -------------------------------------------------
@@ -278,13 +283,7 @@ def check_products(t: ComplexityTable, kind: str) -> Report:
             want = 2 * a + 3 * b + 5 * e
             if c[n] != want:
                 counterexamples.append({"n": n, "expected": want, "actual": c[n]})
-    return Report(
-        name=f"products-{kind}",
-        passed=not counterexamples,
-        checked=checked,
-        counterexamples=counterexamples,
-        details=_provenance(t),
-    )
+    return _report(f"products-{kind}", t, checked, counterexamples)
 
 
 def check_pow2_plus1(t: ComplexityTable) -> Report:
@@ -301,13 +300,7 @@ def check_pow2_plus1(t: ComplexityTable) -> Report:
         if c[v] != want:
             counterexamples.append({"n": v, "expected": want, "actual": c[v]})
         n += 1
-    return Report(
-        name="pow2-plus1",
-        passed=not counterexamples,
-        checked=checked,
-        counterexamples=counterexamples,
-        details=_provenance(t),
-    )
+    return _report("pow2-plus1", t, checked, counterexamples)
 
 
 def _flagged(flag: bytearray, lo: int, hi: int):
@@ -318,62 +311,59 @@ def _flagged(flag: bytearray, lo: int, hi: int):
         i = flag.find(1, i + 1, hi - lo)
 
 
+def _blocks(t: ComplexityTable, first: int, last: int, block_pass):
+    """Runs block_pass(lo, hi, flag) on each block [lo, hi) of
+    ``block_width(t.limit)`` in [first, last], and yields what it returned
+    with the n whose byte flag[n - lo] it set to 1, ascending.  ``flag`` is
+    the address of one buffer the width of a block, so each block's n are
+    read before the next block runs."""
+    width = block_width(t.limit)
+    flag = bytearray(min(width, last))
+    fa = kernel.address(flag)
+    for lo in range(first, last + 1, width):
+        hi = min(lo + width, last + 1)
+        yield block_pass(lo, hi, fa), _flagged(flag, lo, hi)
+
+
 def check_prime_plus1(t: ComplexityTable) -> Report:
     """Every prime's complexity is 1 + that of its predecessor (below the
-    first sum-necessary number), checked in blocks of ``block_width(limit)``:
-    the kernel sieves each block with the primes up to sqrt(limit) and
-    flags the primes that break the rule."""
+    first sum-necessary number): the kernel sieves each block with the
+    primes up to sqrt(limit), counts them, and flags those that break the
+    rule."""
     limit = min(t.limit, FIRST_SUM_NECESSARY - 1)
     c = kernel.backing(t.complexity)
     primes = primes_up_to(math.isqrt(limit))
     base = array("q", primes).tobytes()  # int64, as the kernel reads them
-    width = block_width(t.limit)
-    flag = bytearray(min(width, limit))
     steps = kernel.load().ic_prime_steps
-    ca, basea, fa = kernel.address(c), kernel.address(base), kernel.address(flag)
+    ca, basea = kernel.address(c), kernel.address(base)
     checked = 0
     counterexamples = []
-    for lo in range(2, limit + 1, width):
-        hi = min(lo + width, limit + 1)
-        checked += steps(ca, basea, len(primes), lo, hi, fa)
-        counterexamples += [{"n": p, "expected": c[p - 1] + 1, "actual": c[p]}
-                            for p in _flagged(flag, lo, hi)]
-    return Report(
-        name="prime-plus1",
-        passed=not counterexamples,
-        checked=checked,
-        counterexamples=counterexamples,
-        details=_provenance(t),
-    )
+    blocks = _blocks(t, 2, limit, lambda lo, hi, fa: steps(ca, basea, len(primes), lo, hi, fa))
+    for count, failing in blocks:
+        checked += count
+        counterexamples += [{"n": p, "expected": c[p - 1] + 1, "actual": c[p]} for p in failing]
+    return _report("prime-plus1", t, checked, counterexamples)
 
 
 def check_defect_rank(t: ComplexityTable) -> Report:
-    """Defect dominates floor((rank-1)/2) * (1 + 3*log3(6/7)), checked in
-    blocks of ``block_width(limit)``: the kernel takes each defect as the
-    whole-column float64 pass did, log(n) * 3 / LN3 subtracted from f(n),
-    and flags those below the bound their rank sets."""
+    """Defect dominates floor((rank-1)/2) * (1 + 3*log3(6/7)): the kernel
+    takes each defect as the whole-column float64 pass did, log(n) * 3 / LN3
+    subtracted from f(n), and flags those below the bound their rank sets.
+    The report counts every violation and lists the first 100."""
     if not t.has_ranks:
         raise ValueError("defect-rank check requires a table with ranks")
     c, r = kernel.backing(t.complexity), kernel.backing(t.rank)
-    width = block_width(t.limit)
-    flag = bytearray(min(width, t.limit))
     defects = kernel.load().ic_defects
-    ca, ra, fa = kernel.address(c), kernel.address(r), kernel.address(flag)
+    ca, ra = kernel.address(c), kernel.address(r)
     violations = 0
     counterexamples = []
-    for lo in range(1, t.limit + 1, width):
-        hi = min(lo + width, t.limit + 1)
-        violations += defects(ca, ra, lo, hi, _DEFECT_RANK_COEF, _REAL_TOL, LN3, fa)
-        for n in itertools.islice(_flagged(flag, lo, hi), 100 - len(counterexamples)):
+    for count, failing in _blocks(t, 1, t.limit, lambda lo, hi, fa: defects(
+            ca, ra, lo, hi, _DEFECT_RANK_COEF, _REAL_TOL, LN3, fa)):
+        violations += count
+        for n in itertools.islice(failing, 100 - len(counterexamples)):
             counterexamples.append({"n": n, "defect": defect(n, c[n]),
                                     "bound": (r[n] - 1) // 2 * _DEFECT_RANK_COEF, "rank": r[n]})
-    return Report(
-        name="defect-rank",
-        passed=not violations,
-        checked=t.limit,
-        counterexamples=counterexamples,
-        details={**_provenance(t), "violations": violations},
-    )
+    return _report("defect-rank", t, t.limit, counterexamples, violations=violations)
 
 
 def mersenne_table(t: ComplexityTable) -> Report:
@@ -423,13 +413,7 @@ def mersenne_table(t: ComplexityTable) -> Report:
                 {"fact": "power-of-two-exponent", "k": k, "excess": A[2**k], "expected": k - 2}
             )
         k += 1
-    return Report(
-        name="mersenne",
-        passed=not counterexamples,
-        checked=checked,
-        counterexamples=counterexamples,
-        details=_provenance(t),
-    )
+    return _report("mersenne", t, checked, counterexamples)
 
 
 # -- scans --------------------------------------------------------------
@@ -504,26 +488,21 @@ def classify_first_operation(t: ComplexityTable, n: int) -> FirstOpRecord:
 def first_operation_scan(t: ComplexityTable) -> list[FirstOpRecord]:
     """All n whose optimum forces a first subtraction of 6 or more.
 
-    Works in blocks of ``block_width(limit)``.  In each block the kernel
-    flags the n that neither a +1 split, f(n) = f(n-1) + 1, nor the least
-    product split f(d) + f(n/d) (the builder's product pass) settles; only
-    these survivors are classified one by one.  On a table whose values
-    contradict each other the least product can fall below f(n) and keep
-    more survivors, but the classification re-tests each.  The records,
-    their fields and their order are those of classifying every n with
-    f(n) != f(n-1) + 1.  Empty at any limit below the first sum-necessary
-    number.
+    The kernel flags, block by block, the n that neither a +1 split,
+    f(n) = f(n-1) + 1, nor the least product split f(d) + f(n/d) (the
+    builder's product pass) settles; only these survivors are classified
+    one by one.  On a table whose values contradict each other the least
+    product can fall below f(n) and keep more survivors, but the
+    classification re-tests each.  The records, their fields and their
+    order are those of classifying every n with f(n) != f(n-1) + 1.
+    Empty at any limit below the first sum-necessary number.
     """
     c = kernel.backing(t.complexity)  # at most 127, so no sum wraps
-    width = block_width(t.limit)
-    flag = bytearray(min(width, t.limit))
     survivors = kernel.load().ic_survivors
-    ca, fa = kernel.address(c), kernel.address(flag)
+    ca = kernel.address(c)
     out = []
-    for lo in range(2, t.limit + 1, width):
-        hi = min(lo + width, t.limit + 1)
-        survivors(ca, lo, hi, fa)
-        for n in _flagged(flag, lo, hi):
+    for _, flagged in _blocks(t, 2, t.limit, lambda lo, hi, fa: survivors(ca, lo, hi, fa)):
+        for n in flagged:
             rec = classify_first_operation(t, n)
             if rec.classification not in ("product", "sub1"):
                 out.append(rec)

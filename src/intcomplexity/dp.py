@@ -89,7 +89,6 @@ unranked one 1 B/entry.
 
 from __future__ import annotations
 
-import math
 import os
 
 from .core import (
@@ -98,6 +97,7 @@ from .core import (
     addend_bound,
     block_width,
     max_expressible,
+    upper_bound,
 )
 from . import kernel, storage
 
@@ -108,7 +108,7 @@ _NONE = 127
 def _check_limit(limit: int, ranks: bool, resume: str | None) -> None:
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit > 2 and 3.0 * math.log2(limit) > MAX_COMPLEXITY:
+    if limit > 2 and upper_bound(limit) > MAX_COMPLEXITY:
         raise ValueError("limit too large for one-byte complexity storage")
     # the build's columns (the returned table's) and what a resume loads
     need = (limit + 1) * (3 if ranks else 1) + (os.path.getsize(resume) if resume else 0)
@@ -153,6 +153,8 @@ def build(
     if ranks and (checkpoint_every or resume):
         raise ValueError("checkpoints hold complexities only: ranks cannot be checkpointed or resumed")
     _check_limit(limit, ranks, resume)
+    if checkpoint_every < 0:
+        raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     if checkpoint_every and not out:
         raise ValueError("checkpointing requires an output path")
     lib = kernel.load()

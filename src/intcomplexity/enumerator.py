@@ -18,12 +18,11 @@ recovered exactly (expanded to trees on demand).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections import Counter, namedtuple
 from itertools import combinations_with_replacement, product
 
-from .core import ComplexityTable, max_expressible
+from .core import ComplexityTable, max_expressible, upper_bound
 from .expr import ExprTree, ONE, add, mul
 from .primality import factorize
 
@@ -41,7 +40,7 @@ class OracleResult(namedtuple("OracleResult", "n complexity shortest min_height"
 
 def default_ones_cap(n: int) -> int:
     """floor(3*log2 n): always enough ones to express n."""
-    return 1 if n < 2 else int(3.0 * math.log2(n))
+    return 1 if n < 2 else int(upper_bound(n))
 
 
 class _Engine:

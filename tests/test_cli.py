@@ -252,6 +252,28 @@ def test_ranks_are_not_checkpointed(tmp_path, capsys):
     assert not os.path.exists(path)
 
 
+def test_negative_checkpoint_interval_is_refused(tmp_path):
+    # in child processes: an interval below 0 that reached the kernel would
+    # hand it a block that ends before it starts, and crash the interpreter
+    path = str(tmp_path / "t.icx")
+    env = {**os.environ, "PYTHONPATH": "src"}
+    command = subprocess.run(
+        [sys.executable, "-m", "intcomplexity.cli", "build", "--limit", "1000", "--out", path,
+         "--checkpoint-every", "-5"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert command.returncode == 2
+    assert command.stderr == "error: checkpoint_every must be >= 0, got -5\n"
+    call = subprocess.run(
+        [sys.executable, "-c", "import sys; from intcomplexity.dp import build; "
+         "build(1000, checkpoint_every=-5, out=sys.argv[1])", path],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert call.returncode == 1
+    assert "ValueError: checkpoint_every must be >= 0" in call.stderr
+    assert not os.path.exists(path)
+
+
 def test_oracle_command(capsys):
     rc, out = run(capsys, ["oracle", "14"])
     assert rc == 0
@@ -279,6 +301,19 @@ def test_verify_pass_and_fail(table_file, tmp_path, capsys):
     rc, out = run(capsys, ["verify", "pow2", "--table", bad_path])
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_verify_all_without_ranks(tmp_path, capsys):
+    # all leaves out the one check that reads ranks; asked for alone, it fails
+    path = str(tmp_path / "unranked.icx")
+    assert main(["build", "--limit", "5000", "--out", path]) == 0
+    rc, out = run(capsys, ["verify", "all", "--table", path])
+    assert rc == 0
+    assert re.findall(r"^check (\S+): PASS", out, re.M) == [
+        "products-pow2", "products-pow3", "products-pow235", "pow2-plus1", "prime-plus1",
+        "mersenne"]
+    assert main(["verify", "defect-rank", "--table", path]) == 2
+    assert "requires a table with ranks" in capsys.readouterr().err
 
 
 def test_verify_json(table_file, capsys):

@@ -28,6 +28,16 @@ def _desk_run():
     return module.run
 
 
+def _cli_files(table_path, capsys):
+    """Each report file's name, with the exit code and output of its command."""
+    files = {}
+    for name, cmd in REPORTS.items():
+        for fmt in ("json",) if name == "verify" else ("csv", "json"):
+            rc = cli.main([*cmd, "--table", str(table_path), "--format", fmt])
+            files[f"{name}.{fmt}"] = rc, capsys.readouterr().out
+    return files
+
+
 def test_desk_files_match_cli(tmp_path, monkeypatch, capsys):
     run = _desk_run()
     outdir = tmp_path / "desk"
@@ -43,13 +53,25 @@ def test_desk_files_match_cli(tmp_path, monkeypatch, capsys):
         assert log.startswith("reusing" if reuse else "built ranked table")
 
         written = {p.name for p in outdir.iterdir()}
-        expected = {table_path.name}
-        for name, cmd in REPORTS.items():
-            for fmt in ("json",) if name == "verify" else ("csv", "json"):
-                expected.add(f"{name}.{fmt}")
-                assert cli.main([*cmd, "--table", str(table_path), "--format", fmt]) == 0
-                assert (outdir / f"{name}.{fmt}").read_text() == capsys.readouterr().out, (name, fmt)
-        assert written == expected
+        expected = _cli_files(table_path, capsys)
+        assert written == {table_path.name, *expected}
+        for name, (rc, text) in expected.items():
+            assert rc == 0 and (outdir / name).read_text() == text, name
+
+
+def test_failing_report_leaves_the_others(tmp_path, capsys):
+    # at limit 20 the fit has 9 reliable points of the 10 it needs: the run
+    # exits 2 and writes its two files empty, and every other file as usual
+    run = _desk_run()
+    outdir = tmp_path / "desk"
+    assert run(20, str(outdir)) == 2
+    assert "error: need at least 10 reliable points, have 9" in capsys.readouterr().err
+    expected = _cli_files(outdir / "table-20.icx", capsys)
+    assert {p.name for p in outdir.iterdir()} == {"table-20.icx", *expected}
+    for name, (rc, text) in expected.items():
+        assert rc == (2 if name.startswith("fit-e.") else 0), name
+        assert (outdir / name).read_text() == text, name
+    assert (outdir / "fit-e.csv").read_text() == (outdir / "fit-e.json").read_text() == ""
 
 
 def test_older_table_is_rebuilt(tmp_path, capsys):

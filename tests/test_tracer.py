@@ -40,6 +40,16 @@ def test_traced_desk_report_reuses_its_table(tmp_path):
     assert "dp.build_dp" not in names and "sieve.build_sieve" not in names
 
 
+def test_traced_verify_spans_every_check(tmp_path):
+    # cli looks each check up on analysis when it runs, so none escapes the
+    # tracer's wrappers; the traced build exits 0 only if every name it patches exists
+    path = str(tmp_path / "t.icx")
+    trace(tmp_path, "cli", "build", "--limit", "1000", "--ranks", "--out", path)
+    names = trace(tmp_path, "cli", "verify", "all", "--table", path)
+    assert names.count("analysis.verify") == 7
+    assert names.count("storage.load") == 1
+
+
 def test_load_table_reads_what_save_wrote(tmp_path):
     # perfbench/run.py reads every table through storage.load_table, the old
     # name of storage.load; both the name and this test go with ROADMAP item 1
