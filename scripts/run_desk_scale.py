@@ -12,7 +12,8 @@ Each report is one ``intcomplexity`` command line.  The table is loaded
 (or built) and its ``SequenceSet`` derived once; each command's analysis
 runs once, through ``cli.report``, and ``cli.render`` gives its text for
 each format, so every file is what the command prints with ``--table``
-and ``--format``.
+and ``--format``.  A table that cannot be loaded or built ends the run
+as it ends the CLI: ``error:`` on stderr and exit 2.
 
     PYTHONPATH=src python3 scripts/run_desk_scale.py --limit 2000000 --outdir results
 
@@ -45,9 +46,9 @@ REPORTS = [
 ]
 
 
-def run(limit: int, outdir: str) -> int:
+def _table(limit: int, outdir: str, table_path: str):
+    """The ranked table of the directory, built if it holds none to reuse."""
     os.makedirs(outdir, exist_ok=True)
-    table_path = os.path.join(outdir, f"table-{limit}.icx")
     table = None
     if os.path.exists(table_path):
         try:
@@ -60,12 +61,20 @@ def run(limit: int, outdir: str) -> int:
         print(f"built ranked table to {limit} in {time.time() - t0:.1f}s -> {table_path}")
     else:
         print(f"reusing {table_path}")
+    return table
 
+
+def run(limit: int, outdir: str) -> int:
+    table_path = os.path.join(outdir, f"table-{limit}.icx")
+    try:
+        table = _table(limit, outdir, table_path)
+    except cli.ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     seq = analysis.derive_sequences(table)
-    parser = cli.build_parser()
     rc = 0
     for stem, argv in REPORTS:
-        args = parser.parse_args([*argv, "--table", table_path])
+        args = cli.parse_args([*argv, "--table", table_path])
         formats = ("json",) if stem == "verify" else ("csv", "json")
         try:
             result = cli.report(table, args, seq)

@@ -7,11 +7,13 @@ check, the defect-rank check and the first-operation scan are block
 passes: ``_blocks`` is the one loop over blocks of ``block_width(limit)``,
 which runs a function of the compiled block kernel (``_kernel.c``) on
 each block to flag the n that fail its test, and hands back each call's
-result with the flagged n.  Reconstruction, the other checks and the
-collapse scan read single entries; the chain scan and the fit, the least
-values.  Nothing here imports numpy.  Every verification's ``Report``
-comes from ``_report``; the other results are named tuples, whose
-``_fields`` give a report's headers in ``cli``.
+result with the flagged n.  The power laws and the 2^n + 1 rule are
+closed forms: each hands its (n, expected) pairs to ``_closed_form``,
+the one loop that compares them with the table.  Reconstruction, the
+Mersenne check and the collapse scan read single entries; the chain scan
+and the fit, the least values.  Nothing here imports numpy.  Every
+verification's ``Report`` comes from ``_report``; the other results are
+named tuples, whose ``_fields`` give a report's headers in ``cli``.
 
 ``tight_splits`` is the one enumeration of the splits n = p + q or
 n = p * q with f(p) + f(q) = f(n).  Reconstruction and the
@@ -266,41 +268,33 @@ def reconstruct(t: ComplexityTable, n: int) -> ExprTree:
 _PRODUCT_EXPONENTS = {"pow2": (None, 1, 1), "pow3": (1, None, 1), "pow235": (None, None, 6)}
 
 
+def _closed_form(name: str, t: ComplexityTable, cases) -> Report:
+    """The report of a closed form: f(n) against the expected value of each
+    (n, expected) in cases with 1 < n <= limit."""
+    c = t.complexity
+    checked = [(n, want) for n, want in cases if 1 < n <= t.limit]
+    counterexamples = [{"n": n, "expected": want, "actual": c[n]}
+                       for n, want in checked if c[n] != want]
+    return _report(name, t, len(checked), counterexamples)
+
+
 def check_products(t: ComplexityTable, kind: str) -> Report:
     """Power laws: f(2^a 3^b 5^e) = 2a + 3b + 5e, over the powers of 2
     (pow2), the powers of 3 (pow3) or all products with e <= 5 (pow235)."""
     caps = _PRODUCT_EXPONENTS.get(kind)
     if caps is None:
         raise ValueError(f"unknown product check {kind!r}")
-    c = t.complexity
     top = t.limit.bit_length()  # 2^a <= limit for every a < top
-    counterexamples: list[dict] = []
-    checked = 0
-    for a, b, e in itertools.product(*(range(top if cap is None else cap) for cap in caps)):
-        n = 2**a * 3**b * 5**e
-        if 1 < n <= t.limit:
-            checked += 1
-            want = 2 * a + 3 * b + 5 * e
-            if c[n] != want:
-                counterexamples.append({"n": n, "expected": want, "actual": c[n]})
-    return _report(f"products-{kind}", t, checked, counterexamples)
+    exponents = itertools.product(*(range(top if cap is None else cap) for cap in caps))
+    return _closed_form(f"products-{kind}", t, (
+        (2**a * 3**b * 5**e, 2 * a + 3 * b + 5 * e) for a, b, e in exponents))
 
 
 def check_pow2_plus1(t: ComplexityTable) -> Report:
     """2^n + 1 needs 2n+1 ones, except the two threes-heavy cases n = 3, 9."""
-    c = t.complexity
-    counterexamples: list[dict] = []
-    checked = 0
     exceptions = {3: 6, 9: 18}  # 9 = 3*3, 513 = (3*3*2+1)*3*3*3
-    n = 1
-    while 2**n + 1 <= t.limit:
-        v = 2**n + 1
-        want = exceptions.get(n, 2 * n + 1)
-        checked += 1
-        if c[v] != want:
-            counterexamples.append({"n": v, "expected": want, "actual": c[v]})
-        n += 1
-    return _report("pow2-plus1", t, checked, counterexamples)
+    return _closed_form("pow2-plus1", t, (
+        (2**n + 1, exceptions.get(n, 2 * n + 1)) for n in range(1, t.limit.bit_length())))
 
 
 def _flagged(flag: bytearray, lo: int, hi: int):

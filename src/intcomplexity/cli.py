@@ -5,6 +5,10 @@ firstop, fit-e, top-log, expr.  Exit codes: 0 success (and
 every checked fact holds in range), 1 a verification found
 counterexamples, 2 usage or configuration error.
 
+``_SUBCOMMANDS`` is the one table of subcommands, which ``parse_args``
+(the parser of the subcommand run, or of all for ``--help``), ``main``,
+``report`` and ``render`` read.
+
 ``build`` is one call to ``dp.build``, with its keywords as options;
 ``--resume`` continues an interrupted build from its checkpoint.  Every
 table-reading subcommand takes one path in two steps: ``report`` runs its
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from collections import namedtuple
 
 from . import reporting, storage
 from .dp import build
@@ -178,30 +183,16 @@ def expr_rows(table, args):
             [[args.n, tree.ones, tree.height, infix(tree), postfix_emit(tree)]])
 
 
-# subcommand -> its rows function, and whether that reads the SequenceSet
-_ROWS = {
-    "query": (query_rows, False),
-    "seq": (seq_rows, True),
-    "verify": (verify_reports, False),
-    "collapse": (collapse_rows, False),
-    "chains": (chains_rows, True),
-    "firstop": (firstop_rows, False),
-    "fit-e": (fit_e_rows, True),
-    "top-log": (top_log_rows, False),
-    "expr": (expr_rows, False),
-}
-
-
 def report(table, args, seq: analysis.SequenceSet | None = None):
     """Headers and rows of a table-reading subcommand (for verify, its
     reports); ``seq`` is derived from the table if the subcommand reads
     one and none is passed."""
-    rows, reads_seq = _ROWS[args.command]
-    if reads_seq:
+    sub = _SUBCOMMANDS[args.command]
+    if sub.reads_seq:
         from . import analysis
 
-        return rows(seq or analysis.derive_sequences(table), args)
-    return rows(table, args)
+        return sub.rows(seq or analysis.derive_sequences(table), args)
+    return sub.rows(table, args)
 
 
 def _chains_text(table, rows):
@@ -215,25 +206,12 @@ def _fit_e_text(table, rows):
             f"range {rows[0][0]}..{rows[-1][0]}"]
 
 
-# text format only: lines that replace the table, or go before or after it
-_TEXT = {
-    "query": ("replace", lambda table, rows: [f"complexity {rows[0][1]}, rank {rows[0][2]}"]),
-    "expr": ("replace", lambda table, rows: [
-        f"n {rows[0][0]}: ones {rows[0][1]}, height {rows[0][2]}",
-        f"  {rows[0][3]}", f"  {rows[0][4]}"]),
-    "chains": ("after", _chains_text),
-    "firstop": ("after", lambda table, rows: [
-        f"{len(rows)} forced-subtraction number(s) at limit {table.limit}"]),
-    "fit-e": ("before", _fit_e_text),
-}
-
-
 def render(table, args, result, fmt: str) -> tuple[str, int]:
     """The text printed for ``report``'s result in a format, and the exit code."""
     if args.command == "verify":
         text = "".join(emit_report(r, fmt) for r in result)
         return text, 0 if all(r.passed for r in result) else 1
-    place, lines = _TEXT.get(args.command, (None, None)) if fmt == "text" else (None, None)
+    place, lines = _SUBCOMMANDS[args.command].text if fmt == "text" else (None, None)
     extra = "".join(line + "\n" for line in lines(table, result[1])) if lines else ""
     body = "" if place == "replace" else emit_rows(*result, fmt)
     return (body + extra if place == "after" else extra + body), 0
@@ -246,61 +224,82 @@ def _cmd_table(args) -> int:
     return code
 
 
+# A subcommand: its help, arguments and handler.  A table-reading one (run
+# by _cmd_table) has its rows function, whether that reads the SequenceSet,
+# and text-format lines that replace the table or go before or after it.
+_Subcommand = namedtuple("_Subcommand", "help arguments handler rows reads_seq text",
+                         defaults=(_cmd_table, None, False, (None, None)))
+
 _N = ("n", {"type": int})
 _TABLE = ("--table", {"required": True})
 _FORMAT = ("--format", {"choices": reporting.FORMATS, "default": "text"})
 
-# name, help and arguments of every subcommand, in --help order
-_SUBCOMMANDS = [
-    ("build", "build and persist a complexity table", [
+# every subcommand, in --help order
+_SUBCOMMANDS = {
+    "build": _Subcommand("build and persist a complexity table", [
         # ignored, since one builder makes every table; accepted because the
         # benchmark still passes --algo dp, until ROADMAP item 1
         ("--algo", {"choices": ("sieve", "dp"), "help": argparse.SUPPRESS}),
         ("--limit", {"type": int, "required": True}), ("--ranks", {"action": "store_true"}),
         ("--out", {"required": True}), ("--checkpoint-every", {"type": int, "default": 0}),
-        ("--resume", {"metavar": "PATH", "help": "continue a smaller table, such as a checkpoint"})]),
-    ("query", "complexity and rank of one value", [_N, _TABLE, _FORMAT]),
-    ("oracle", "exhaustive shortest-expression search",
-     [_N, ("--max-ones", {"type": int, "default": None}), ("--all", {"action": "store_true"}),
-      _FORMAT]),
-    ("seq", "derived sequences of a table", [_TABLE, _FORMAT]),
-    ("verify", "check table facts; exit 1 on counterexamples",
-     [("kind", {"choices": (*_VERIFY, "all")}), _TABLE,
-      ("--format", {"choices": ("text", "json"), "default": "text"})]),
-    ("collapse", "prime power collapse scan",
-     [_TABLE, ("--primes-below", {"type": int, "default": 1000}), _FORMAT]),
-    ("chains", "doubling chains behind least values", [_TABLE, _FORMAT]),
-    ("firstop", "forced first-subtraction scan", [_TABLE, _FORMAT]),
-    ("fit-e", "least-squares growth of least values", [_TABLE, _FORMAT]),
-    ("top-log", "largest logarithmic complexities",
-     [_TABLE, ("--count", {"type": int, "default": 16}), _FORMAT]),
-    ("expr", "reconstruct a minimum-height shortest expression", [_N, _TABLE, _FORMAT]),
-]
-_COMMANDS = {"build": _cmd_build, "oracle": _cmd_oracle}
+        ("--resume", {"metavar": "PATH", "help": "continue a smaller table, such as a checkpoint"})],
+        _cmd_build),
+    "query": _Subcommand("complexity and rank of one value", [_N, _TABLE, _FORMAT],
+                         rows=query_rows, text=("replace", lambda table, rows: [
+                             f"complexity {rows[0][1]}, rank {rows[0][2]}"])),
+    "oracle": _Subcommand("exhaustive shortest-expression search",
+                          [_N, ("--max-ones", {"type": int, "default": None}),
+                           ("--all", {"action": "store_true"}), _FORMAT], _cmd_oracle),
+    "seq": _Subcommand("derived sequences of a table", [_TABLE, _FORMAT],
+                       rows=seq_rows, reads_seq=True),
+    "verify": _Subcommand("check table facts; exit 1 on counterexamples",
+                          [("kind", {"choices": (*_VERIFY, "all")}), _TABLE,
+                           ("--format", {"choices": ("text", "json"), "default": "text"})],
+                          rows=verify_reports),
+    "collapse": _Subcommand("prime power collapse scan",
+                            [_TABLE, ("--primes-below", {"type": int, "default": 1000}), _FORMAT],
+                            rows=collapse_rows),
+    "chains": _Subcommand("doubling chains behind least values", [_TABLE, _FORMAT],
+                          rows=chains_rows, reads_seq=True, text=("after", _chains_text)),
+    "firstop": _Subcommand("forced first-subtraction scan", [_TABLE, _FORMAT],
+                           rows=firstop_rows, text=("after", lambda table, rows: [
+                               f"{len(rows)} forced-subtraction number(s) at limit {table.limit}"])),
+    "fit-e": _Subcommand("least-squares growth of least values", [_TABLE, _FORMAT],
+                         rows=fit_e_rows, reads_seq=True, text=("before", _fit_e_text)),
+    "top-log": _Subcommand("largest logarithmic complexities",
+                           [_TABLE, ("--count", {"type": int, "default": 16}), _FORMAT],
+                           rows=top_log_rows),
+    "expr": _Subcommand("reconstruct a minimum-height shortest expression", [_N, _TABLE, _FORMAT],
+                        rows=expr_rows, text=("replace", lambda table, rows: [
+                            f"n {rows[0][0]}: ones {rows[0][1]}, height {rows[0][2]}",
+                            f"  {rows[0][3]}", f"  {rows[0][4]}"])),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed command line.  The parser holds only the subcommand that
+    ``argv[0]`` names, or every subcommand when it names none (``--help``,
+    no argument, an unknown name), so that usage lists them all."""
     parser = argparse.ArgumentParser(
         prog="intcomplexity",
         description="integer complexity tables and desk-scale analyses",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, arguments in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        for flag, kwargs in arguments:
+    named = [name for name in argv[:1] if name in _SUBCOMMANDS]
+    for name in named or _SUBCOMMANDS:
+        p = sub.add_parser(name, help=_SUBCOMMANDS[name].help)
+        for flag, kwargs in _SUBCOMMANDS[name].arguments:
             p.add_argument(flag, **kwargs)
-        p.set_defaults(func=_COMMANDS.get(name, _cmd_table))
-    return parser
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 0 if not exc.code else 2
     try:
-        return args.func(args)
+        return _SUBCOMMANDS[args.command].handler(args)
     except ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,10 +2,9 @@
 
 Reals are formatted at 6 significant digits in every format, and rows
 are emitted in the order given, so identical inputs produce identical
-bytes.  Parsing an emitted report and re-emitting it reproduces the
-same bytes (values round-trip at emission precision).  The sign of zero
-is not kept: -0.0 is emitted as ``0`` in text and csv and as ``0.0`` in
-json, because ``-0`` would parse back as the int 0.
+bytes.  The sign of zero is not kept: -0.0 is emitted as ``0`` in text
+and csv and as ``0.0`` in json, because ``-0`` would parse back as the
+int 0.
 """
 
 from __future__ import annotations
@@ -43,18 +42,9 @@ def _json_value(v):
 
 
 class Report(namedtuple("Report", "name passed checked counterexamples details")):
-    """Outcome of one verification: verdict, counterexamples, statistics.
-
-    A named tuple; ``counterexamples`` and ``details`` default to a new
-    empty list and dict for each report."""
+    """Outcome of one verification: verdict, counterexamples, statistics."""
 
     __slots__ = ()
-
-    def __new__(cls, name: str, passed: bool, checked: int,
-                counterexamples: list[dict] | None = None, details: dict | None = None):
-        return super().__new__(cls, name, passed, checked,
-                               [] if counterexamples is None else counterexamples,
-                               {} if details is None else details)
 
 
 def emit_rows(headers: list[str], rows: list[list], fmt: str) -> str:
@@ -83,43 +73,6 @@ def emit_rows(headers: list[str], rows: list[list], fmt: str) -> str:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def parse_rows(text: str, fmt: str) -> tuple[list[str], list[list]]:
-    """Inverse of emit_rows up to cell typing (int/float/bool inferred)."""
-    if fmt == "csv":
-        import csv
-
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows:
-            raise ValueError("empty csv report")
-        return rows[0], [[_infer(c) for c in row] for row in rows[1:]]
-    if fmt == "json":
-        import json
-
-        payload = json.loads(text)
-        if not payload:
-            return [], []
-        headers = sorted(payload[0].keys())
-        return headers, [[rec[h] for h in headers] for rec in payload]
-    raise ValueError(f"cannot parse format {fmt!r}")
-
-
-def _infer(cell: str):
-    if cell == "":
-        return None
-    if cell == "true":
-        return True
-    if cell == "false":
-        return False
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
 
 
 def emit_report(report: Report, fmt: str) -> str:

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from intcomplexity import storage
-from intcomplexity.cli import main
+from intcomplexity.cli import _SUBCOMMANDS, main
 from intcomplexity.dp import build
-from intcomplexity.reporting import parse_rows
+from test_reporting import parse_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -404,8 +404,16 @@ def test_verify_formats(table_file, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_help_exits_zero():
+def test_help_exits_zero(capsys):
+    # usage lists every subcommand, although a command parses only its own
     assert main(["--help"]) == 0
+    listing = capsys.readouterr().out
+    for name in _SUBCOMMANDS:
+        assert name in listing
+        assert main([name, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: intcomplexity {name} ")
+    assert main(["nonsense"]) == 2
+    assert "{" + ",".join(_SUBCOMMANDS) + "}" in capsys.readouterr().err
 
 
 def test_resume_command(tmp_path, monkeypatch, capsys):

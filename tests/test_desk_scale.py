@@ -91,3 +91,15 @@ def test_older_table_is_rebuilt(tmp_path, capsys):
     log = capsys.readouterr().out
     assert log.startswith("not reusing") and "built ranked table" in log
     assert storage.load(str(table_path)) == table
+
+
+def test_set_up_errors_exit_2(tmp_path, capsys):
+    # a limit the builder refuses, or an output directory that is a file,
+    # ends the run as it ends the CLI: an error line and exit 2
+    run = _desk_run()
+    assert run(0, str(tmp_path / "desk")) == 2
+    assert capsys.readouterr().err == "error: limit must be >= 1, got 0\n"
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(LIMIT, str(blocker)) == 2
+    assert capsys.readouterr().err.startswith("error: ")

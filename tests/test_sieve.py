@@ -3,16 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from golden import CHAIN4_COMPLEXITIES, CHAIN_LONG, FIRST_FIFTEEN, LEAST_BY_RANK, LEAST_VALUE
+from golden import CHAIN4_COMPLEXITIES, CHAIN_LONG, LEAST_BY_RANK, LEAST_VALUE
 from intcomplexity.analysis import Reconstructor, chain_scan, tight_splits
 from intcomplexity.cli import main
 from intcomplexity.core import ComplexityTable, block_width, max_expressible
 from intcomplexity.dp import build
-
-
-def test_first_fifteen():
-    t = build(15)
-    assert [t.value(n) for n in range(1, 16)] == FIRST_FIFTEEN
 
 
 def test_rank_small():
