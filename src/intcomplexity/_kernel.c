@@ -14,7 +14,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define NONE 127 /* rank estimate for "no such form yet" (dp._NONE) */
+#define NONE 127 /* rank estimate for "no such form yet"; NONE + 1 fits a uint8 */
 
 static inline unsigned min_u(unsigned a, unsigned b) { return a < b ? a : b; }
 static inline unsigned max_u(unsigned a, unsigned b) { return a > b ? a : b; }

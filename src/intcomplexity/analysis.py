@@ -9,18 +9,21 @@ which runs a function of the compiled block kernel (``_kernel.c``) on
 each block to flag the n that fail its test, and hands back each call's
 result with the flagged n.  The power laws and the 2^n + 1 rule are
 closed forms: each hands its (n, expected) pairs to ``_closed_form``,
-the one loop that compares them with the table.  Reconstruction, the
-Mersenne check and the collapse scan read single entries; the chain scan
-and the fit, the least values.  Nothing here imports numpy.  Every
-verification's ``Report`` comes from ``_report``; the other results are
-named tuples, whose ``_fields`` give a report's headers in ``cli``.
+the one loop that compares them with the table.  The Mersenne check
+builds one list of (holds, counterexample) cases from the entries at
+2^n -+ 1.  Reconstruction and the collapse scan read single entries;
+the chain scan and the fit, the least values.  Nothing here imports
+numpy.  Every verification's ``Report`` comes from ``_report``; the
+other results are named tuples, whose ``_fields`` give a report's
+headers in ``cli``.
 
 ``tight_splits`` is the one enumeration of the splits n = p + q or
 n = p * q with f(p) + f(q) = f(n).  Reconstruction and the
-first-operation classification both read it: ``Reconstructor`` runs one
-height recursion with the operation as its argument, which is a few
-frames per unit of f(n) deep, so it needs no raised recursion limit.
-Only its tree builders import ``expr``, on first use.
+first-operation classification both read it: ``Reconstructor`` runs the
+builder's rank recursion (RP, RS, GP and GS, which ``dp`` defines) with
+the operation as its argument, which is a few frames per unit of f(n)
+deep, so it needs no raised recursion limit.  Only its tree builders
+import ``expr``, on first use.
 """
 
 from __future__ import annotations
@@ -66,23 +69,20 @@ def _report(name: str, t: ComplexityTable, checked: int, counterexamples: list[d
 
 
 class SequenceSet(namedtuple("SequenceSet", (
-        "limit smallest largest second_largest rank_firsts"
-        " reliable_smallest_max reliable_largest_max reliable_rank_max"))):
+        "limit smallest largest second_largest rank_firsts reliable_largest_max"))):
     """Least/greatest values by complexity and least value by rank.
 
     ``smallest[k]``/``largest[k]`` are the least/greatest n with
     complexity exactly k; ``second_largest[k]`` is the second-greatest n
     with complexity at most k, each a dict from k to n; ``rank_firsts``
-    maps each rank to its least n, or is None without ranks.  Entries
-    beyond the reliable bounds (``reliable_*_max``, the largest reliable
-    k or rank) may be artifacts of the table edge and are excluded from
-    them.
+    maps each rank to its least n, or is None without ranks.  Every least
+    value is reliable: ``smallest`` holds k = 1 .. len(smallest), and
+    ``rank_firsts`` ranks 0 .. len(rank_firsts) - 1.  Greatest values
+    beyond ``reliable_largest_max``, the largest k with E(k) <= limit, may
+    be artifacts of the table edge.
     """
 
     __slots__ = ()
-
-    def reliable_smallest(self) -> dict[int, int]:
-        return {k: v for k, v in self.smallest.items() if k <= self.reliable_smallest_max}
 
 
 def _firsts(col: bytes | bytearray, first: int) -> dict[int, int]:
@@ -126,9 +126,7 @@ def derive_sequences(t: ComplexityTable) -> SequenceSet:
         largest=largest,
         second_largest=second_largest,
         rank_firsts=rank_firsts,
-        reliable_smallest_max=len(smallest),
         reliable_largest_max=reliable_largest_max,
-        reliable_rank_max=None if rank_firsts is None else len(rank_firsts) - 1,
     )
 
 
@@ -158,27 +156,24 @@ class Reconstructor:
 
     Every shortest expression of n is an op-node over a tight split of n
     (see ``tight_splits``), and canonical form merges nested sums into
-    sums and nested products into products, so the height of a node is
-    1 + the height of its tallest piece.  One recursion, with the
-    operation as its argument, minimizes heights:
+    sums and nested products into products.  The heights follow the rank
+    recursion that ``dp`` defines, with the operation as its argument:
+    ``r(n, op)`` is RP(n) for ``*`` and RS(n) for ``+``, and ``g(n, op)``
+    is GP(n) or GS(n).
 
-    - ``root_h(n, op)``: the least height of a shortest op-rooted form;
-    - ``inner_h(n, op)``: the least height of n's pieces inside a flat
-      op node, which is n's own root form of the other operation, or a
-      further op split of n.
-
-    Ties break deterministically: product before sum at the root, a root
-    form before a split inside a node, then the smallest divisor or
-    addend.  Each step moves to a part of strictly smaller complexity or
-    switches the operation once, so the recursion is a few frames per
-    unit of f(n) deep (under 400 at n = 4.8e8).
+    Ties break deterministically: product before sum at the root, n's
+    root form of the other operation before a further split inside a
+    node, then the smallest divisor or addend.  Each step moves to a part
+    of strictly smaller complexity or switches the operation once, so the
+    recursion is a few frames per unit of f(n) deep: a recursion limit of
+    51 to 86 serves the last five n up to 477,028,439.  A table whose
+    values contradict each other raises ValueError.
     """
 
     def __init__(self, t: ComplexityTable):
         self.t = t
         self._splits: dict[tuple[int, str], list[tuple[int, int]]] = {}
-        self._root: dict[tuple[int, str], float] = {}
-        self._inner: dict[tuple[int, str], float] = {}
+        self._r: dict[tuple[int, str], float] = {}
 
     def splits(self, n: int, op: str) -> list[tuple[int, int]]:
         got = self._splits.get((n, op))
@@ -186,68 +181,62 @@ class Reconstructor:
             got = self._splits[n, op] = tight_splits(self.t, n, op)
         return got
 
-    def _split_h(self, op: str, p: int, q: int) -> float:
-        return max(self.inner_h(p, op), self.inner_h(q, op))
-
-    def root_h(self, n: int, op: str) -> float:
+    def r(self, n: int, op: str) -> float:
         """Least height of a shortest op-rooted form of n (inf if none)."""
-        got = self._root.get((n, op))
+        got = self._r.get((n, op))
         if got is None:
-            got = self._root[n, op] = 1 + min(
-                (self._split_h(op, p, q) for p, q in self.splits(n, op)), default=math.inf
-            )
+            got = math.inf
+            for p, q in self.splits(n, op):
+                got = min(got, max(self.g(p, op), self.g(q, op)))
+            self._r[n, op] = got
         return got
 
-    def inner_h(self, n: int, op: str) -> float:
-        """Least max-height of n's pieces inside a flat op node."""
-        if n == 1:
-            return 0.0
-        got = self._inner.get((n, op))
-        if got is None:
-            got = self.root_h(n, _OTHER[op])
-            for p, q in self.splits(n, op):
-                got = min(got, self._split_h(op, p, q))
-            self._inner[n, op] = got
-        return got
+    def g(self, n: int, op: str) -> float:
+        """Least height of a flat op node with n as one of its parts."""
+        return 1 if n == 1 else min(1 + self.r(n, _OTHER[op]), self.r(n, op))
+
+    def _root(self, n: int) -> str:
+        """The root operation of n's least-height shortest forms."""
+        op = "*" if self.r(n, "*") <= self.r(n, "+") else "+"
+        if math.isinf(self.r(n, op)):
+            raise ValueError(f"{n} has no tight split in the table: table corrupt")
+        return op
 
     def min_height(self, n: int) -> int:
         """Rank of n computed from the table (no rank column needed)."""
-        if n == 1:
-            return 0
-        h = min(self.root_h(n, "*"), self.root_h(n, "+"))
-        if math.isinf(h):
-            raise AssertionError(f"no optimal decomposition found for {n}; table corrupt?")
-        return int(h)
+        return 0 if n == 1 else int(self.r(n, self._root(n)))
 
-    def _pieces(self, n: int, op: str, h: float) -> list[ExprTree]:
-        """Pieces of the first op split of n whose tallest piece is h high."""
+    def _split(self, n: int, op: str) -> list[ExprTree]:
+        """Pieces of the first op split of n whose tallest piece makes r(n, op)."""
+        h = self.r(n, op)
         for p, q in self.splits(n, op):
-            if self._split_h(op, p, q) == h:
-                return self._inner_pieces(p, op) + self._inner_pieces(q, op)
-        raise AssertionError(f"height bookkeeping inconsistent at {n} ({op})")
+            if max(self.g(p, op), self.g(q, op)) == h:
+                return self._pieces(p, op) + self._pieces(q, op)
+        raise ValueError(f"{n} has no tight {op} split in the table: table corrupt")
 
-    def _inner_pieces(self, n: int, op: str) -> list[ExprTree]:
+    def _pieces(self, n: int, op: str) -> list[ExprTree]:
+        """n's pieces inside a flat op node: its root form of the other
+        operation, or the pieces of a further op split."""
         if n == 1:
             from .expr import ONE
 
             return [ONE]
-        h = self.inner_h(n, op)
-        if self.root_h(n, _OTHER[op]) == h:
+        if self.g(n, op) == 1 + self.r(n, _OTHER[op]):
             return [self.tree(n, _OTHER[op])]
-        return self._pieces(n, op, h)
+        return self._split(n, op)
 
     def tree(self, n: int, op: str) -> ExprTree:
         """The least-height shortest op-rooted expression of n."""
         from .expr import add, mul
 
-        return (add if op == "+" else mul)(self._pieces(n, op, self.root_h(n, op) - 1))
+        return (add if op == "+" else mul)(self._split(n, op))
 
     def tree_min_height(self, n: int) -> ExprTree:
         if n == 1:
             from .expr import ONE
 
             return ONE
-        return self.tree(n, "*" if self.root_h(n, "*") <= self.root_h(n, "+") else "+")
+        return self.tree(n, self._root(n))
 
 
 def reconstruct(t: ComplexityTable, n: int) -> ExprTree:
@@ -256,7 +245,8 @@ def reconstruct(t: ComplexityTable, n: int) -> ExprTree:
         raise ValueError(f"n = {n} outside table range [1, {t.limit}]")
     tree = Reconstructor(t).tree_min_height(n)
     if tree.ones != t.value(n):
-        raise AssertionError("reconstructed tree does not match the table")
+        raise ValueError(f"the expression rebuilt for {n} has {tree.ones} ones, not the"
+                         f" table's {t.value(n)}: table corrupt")
     return tree
 
 
@@ -364,50 +354,22 @@ def mersenne_table(t: ComplexityTable) -> Report:
     """Checks of the excesses A(n), B(n) of 2^n -+ 1 over 2n:
     A(n) <= floor(log2 n) + H(n) - 3, A(2n) <= A(n) + B(n),
     A(3n) <= A(n) + B(n) + 1, A(n+1) <= A(n) + 1, and the
-    doubling-exponent identity A(2^k) = k - 2 for k >= 1.
+    doubling-exponent identity A(2^k) = k - 2 for k >= 1.  Each case is a
+    pair (holds, counterexample), over the 2^n -+ 1 inside the table.
     """
     c = t.complexity
-    limit = t.limit
-    A: dict[int, int] = {}
-    B: dict[int, int] = {}
-    n = 1
-    while 2**n - 1 <= limit:
-        A[n] = c[2**n - 1] - 2 * n
-        if 2**n + 1 <= limit:
-            B[n] = c[2**n + 1] - 2 * n
-        n += 1
-    counterexamples: list[dict] = []
-    checked = 0
-    for n, a_val in A.items():
-        if n >= 2:
-            bound = mersenne_upper_bound(n) - 2 * n
-            checked += 1
-            if a_val > bound:
-                counterexamples.append(
-                    {"fact": "excess-bound", "n": n, "excess": a_val, "bound": bound}
-                )
+    A = {n: c[2**n - 1] - 2 * n for n in range(1, (t.limit + 1).bit_length())}
+    B = {n: c[2**n + 1] - 2 * n for n in range(1, (t.limit - 1).bit_length())}
+    cases = [(A[n] <= bound, {"fact": "excess-bound", "n": n, "excess": A[n], "bound": bound})
+             for n in A if n >= 2 for bound in [mersenne_upper_bound(n) - 2 * n]]
     for n in A:
-        if 2 * n in A and n in B:
-            checked += 1
-            if A[2 * n] > A[n] + B[n]:
-                counterexamples.append({"fact": "double", "n": n, "lhs": A[2 * n], "rhs": A[n] + B[n]})
-        if 3 * n in A and n in B:
-            checked += 1
-            if A[3 * n] > A[n] + B[n] + 1:
-                counterexamples.append({"fact": "triple", "n": n, "lhs": A[3 * n], "rhs": A[n] + B[n] + 1})
-        if n + 1 in A:
-            checked += 1
-            if A[n + 1] > A[n] + 1:
-                counterexamples.append({"fact": "step", "n": n, "lhs": A[n + 1], "rhs": A[n] + 1})
-    k = 1
-    while 2**k in A:
-        checked += 1
-        if A[2**k] != k - 2:
-            counterexamples.append(
-                {"fact": "power-of-two-exponent", "k": k, "excess": A[2**k], "expected": k - 2}
-            )
-        k += 1
-    return _report("mersenne", t, checked, counterexamples)
+        ab = A[n] + B.get(n, 0)  # B(n) is there wherever A(2n) is: 2^n + 1 <= 4^n - 1
+        cases += [(A[m] <= rhs, {"fact": fact, "n": n, "lhs": A[m], "rhs": rhs})
+                  for fact, m, rhs in (("double", 2 * n, ab), ("triple", 3 * n, ab + 1),
+                                       ("step", n + 1, A[n] + 1)) if m in A]
+    cases += [(A[2**k] == k - 2, {"fact": "power-of-two-exponent", "k": k, "excess": A[2**k],
+                                  "expected": k - 2}) for k in range(1, len(A).bit_length())]
+    return _report("mersenne", t, len(cases), [ce for holds, ce in cases if not holds])
 
 
 # -- scans --------------------------------------------------------------
@@ -523,9 +485,9 @@ def _backward_chain(p: int) -> list[int]:
 
 
 def chain_scan(seq: SequenceSet) -> list[ChainRecord]:
-    """Chain and divisibility structure of every reliable least value."""
+    """Chain and divisibility structure of every least value."""
     out = []
-    for k in sorted(seq.reliable_smallest().keys()):
+    for k in sorted(seq.smallest):
         e = seq.smallest[k]
         prime = is_prime(e)
         near: dict[int, bool | None] = {}
@@ -556,11 +518,11 @@ class FitResult(namedtuple("FitResult", "slope intercept residuals")):
 
 
 def fit_e_asymptote(seq: SequenceSet) -> FitResult:
-    """Ordinary least squares of log3(smallest[k]) against k, over the
-    reliable range, by the ``math.fsum`` sums of
+    """Ordinary least squares of log3(smallest[k]) against k, over every
+    least value, by the ``math.fsum`` sums of
     ``statistics.linear_regression`` (Python 3.11), so both give the same
     floats."""
-    ks = sorted(seq.reliable_smallest().keys())
+    ks = sorted(seq.smallest)
     if len(ks) < 10:
         raise ValueError(f"need at least 10 reliable points, have {len(ks)}")
     y = [math.log(seq.smallest[k]) / LN3 for k in ks]

@@ -98,11 +98,12 @@ def query_rows(table, args):
 def seq_rows(seq: analysis.SequenceSet, args):
     headers = ["sequence", "k", "value", "reliable", "limit"]
     rows: list[list] = []
+    every = float("inf")  # every least value is reliable
     for name, values, reliable in (
-        ("smallest", seq.smallest, seq.reliable_smallest_max),
+        ("smallest", seq.smallest, every),
         ("largest", seq.largest, seq.reliable_largest_max),
         ("second_largest", seq.second_largest, seq.reliable_largest_max),
-        ("rank_first", seq.rank_firsts or {}, seq.reliable_rank_max or 0),
+        ("rank_first", seq.rank_firsts or {}, every),
     ):
         for k in sorted(values):
             rows.append([name, k, values[k], k <= reliable, seq.limit])

@@ -156,16 +156,12 @@ def check_stored(complexity) -> None:
             raise ValueError(f"complexity value {top} above {MAX_STORED}: sums of two would wrap")
 
 
-def hamming_weight(n: int) -> int:
-    return int(n).bit_count()
-
-
 def mersenne_upper_bound(n: int) -> int:
     """Upper bound 2n + floor(log2 n) + H(n) - 3 on the complexity of 2^n - 1,
     H being the binary Hamming weight."""
     if n < 2:
         raise ValueError(f"mersenne_upper_bound requires n >= 2, got {n}")
-    return 2 * n + n.bit_length() - 1 + hamming_weight(n) - 3
+    return 2 * n + n.bit_length() - 1 + n.bit_count() - 3
 
 
 def is_power_of_3(n: int) -> bool:

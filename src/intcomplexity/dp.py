@@ -67,10 +67,10 @@ max(GP(d), GP(e)), and n keeps its least key, whose high byte is the
 product estimate.  The least key has the least product complexity and,
 among those, the least height; once f(n) is settled, the splits whose
 complexity reaches it are exactly the tight ones.  So RP(n) is the low
-byte where the high byte equals f(n), and _NONE elsewhere.  Heights stay
-below 128 and complexity sums below 255, so each fits its byte, and the
-empty key 0xFFFF reads as MAX_COMPLEXITY.  Unranked builds relax the
-complexity bytes alone, at about half the cost.
+byte where the high byte equals f(n), and the kernel's NONE elsewhere.
+Heights stay below 128 and complexity sums below 255, so each fits its
+byte, and the empty key 0xFFFF reads as MAX_COMPLEXITY.  Unranked builds
+relax the complexity bytes alone, at about half the cost.
 
 Sum parts may lie in the block, but each is smaller than n, so one pass
 in increasing n finds RS, GS and GP: every part's GS is final when n is
@@ -100,9 +100,6 @@ from .core import (
     upper_bound,
 )
 from . import kernel, storage
-
-# rank estimate for "no such form yet"; 1 + _NONE still fits a uint8
-_NONE = 127
 
 
 def _check_limit(limit: int, ranks: bool, resume: str | None) -> None:
@@ -170,8 +167,10 @@ def build(
     # pass's flags of the block
     scratch = bytearray(min(width, limit))
     if ranks:
-        gs = bytearray([_NONE]) * (limit + 1)
-        gp = bytearray([_NONE]) * (limit + 1)
+        # zero where no pass reads them (gp below 2, gs at 0), so that the
+        # minimum gives rank 0 at 0 and 1
+        gs = bytearray(limit + 1)
+        gp = bytearray(limit + 1)
         gs[1] = 1  # the One is a part of any sum at height 1
         key = bytearray(2 * min(width, limit))  # one uint16 product key per block entry
         gsa, gpa, keya = kernel.address(gs), kernel.address(gp), kernel.address(key)
@@ -200,7 +199,6 @@ def build(
     rank = None
     if ranks:
         lib.ic_minimum(gsa, gpa, limit + 1)
-        gs[:2] = b"\x00\x00"
         rank = memoryview(gs).toreadonly()
     table = ComplexityTable(limit=limit, complexity=memoryview(f).toreadonly(), rank=rank)
     if out:

@@ -142,16 +142,10 @@ class _Engine:
             if V > E_k:
                 leftover.append(V)
                 continue
-            sum_h: int | None = None
-            prod_h: int | None = None
-            for parts in self._sum_decomps(V, k):
-                h = 1 + max(nsh[p] for p in parts)
-                if sum_h is None or h < sum_h:
-                    sum_h = h
-            for parts in self._prod_decomps(V, k):
-                h = 1 + max(nph[p] for p in parts)
-                if prod_h is None or h < prod_h:
-                    prod_h = h
+            # the least height of a sum-rooted and of a product-rooted form
+            sum_h, prod_h = (
+                min((1 + max(heights[p] for p in parts) for parts in decomps(V, k)), default=None)
+                for decomps, heights in ((self._sum_decomps, nsh), (self._prod_decomps, nph)))
             if sum_h is None and prod_h is None:
                 leftover.append(V)
             else:
@@ -199,22 +193,14 @@ class _Engine:
             return memo[1]
         k = self.ones[v]
         out: list[ExprTree] = []
-        for parts in self._sum_decomps(v, k):
-            groups = sorted(Counter(parts).items())
-            options = []
-            for val, cnt in groups:
-                opts = [t for t in self.all_shortest_trees(val, memo) if t.op != "+"]
-                options.append(list(combinations_with_replacement(opts, cnt)))
-            for combo in product(*options):
-                out.append(add([t for grp in combo for t in grp]))
-        for parts in self._prod_decomps(v, k):
-            groups = sorted(Counter(parts).items())
-            options = []
-            for val, cnt in groups:
-                opts = [t for t in self.all_shortest_trees(val, memo) if t.op != "*"]
-                options.append(list(combinations_with_replacement(opts, cnt)))
-            for combo in product(*options):
-                out.append(mul([t for grp in combo for t in grp]))
+        for decomps, op, node in ((self._sum_decomps, "+", add), (self._prod_decomps, "*", mul)):
+            for parts in decomps(v, k):
+                options = []
+                for val, cnt in sorted(Counter(parts).items()):
+                    opts = [t for t in self.all_shortest_trees(val, memo) if t.op != op]
+                    options.append(list(combinations_with_replacement(opts, cnt)))
+                for combo in product(*options):
+                    out.append(node([t for grp in combo for t in grp]))
         out.sort(key=ExprTree.sort_key)
         memo[v] = out
         return out

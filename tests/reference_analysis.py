@@ -59,17 +59,10 @@ def derive_sequences(t: ComplexityTable) -> SequenceSet:
             top2[k] = best2
 
     rank_firsts = None
-    reliable_rank_max = None
     if t.has_ranks:
         r = np.frombuffer(t.rank, dtype=np.uint8)[1:]
         rank_firsts = {k: i + 1 for k, _, i in _value_masks(r)}
-        reliable_rank_max = 0
-        while rank_firsts.get(reliable_rank_max + 1) is not None:
-            reliable_rank_max += 1
 
-    reliable_smallest_max = 0
-    while (reliable_smallest_max + 1) in smallest:
-        reliable_smallest_max += 1
     reliable_largest_max = 0
     while max_expressible(reliable_largest_max + 1) <= t.limit:
         reliable_largest_max += 1
@@ -80,9 +73,7 @@ def derive_sequences(t: ComplexityTable) -> SequenceSet:
         largest=largest,
         second_largest=top2,
         rank_firsts=rank_firsts,
-        reliable_smallest_max=reliable_smallest_max,
         reliable_largest_max=reliable_largest_max,
-        reliable_rank_max=reliable_rank_max,
     )
 
 

@@ -34,9 +34,9 @@ def test_sequence_reliability_bounds(sieve_50k):
     assert seq.reliable_largest_max == max(
         k for k in range(1, 60) if max_expressible(k) <= 50_000
     )
-    for k in range(1, seq.reliable_smallest_max + 1):
-        assert k in seq.smallest
-    assert seq.reliable_rank_max is not None
+    # every least value found is reliable: the keys run without a gap
+    assert list(seq.smallest) == list(range(1, len(seq.smallest) + 1))
+    assert list(seq.rank_firsts) == list(range(len(seq.rank_firsts)))
 
 
 def test_sequence_matches_closed_forms(sieve_50k):
@@ -50,7 +50,7 @@ def test_sequence_matches_closed_forms(sieve_50k):
 
 def test_sequence_monotone(sieve_50k):
     seq = an.derive_sequences(sieve_50k)
-    ks = sorted(k for k in seq.smallest if k <= seq.reliable_smallest_max)
+    ks = sorted(seq.smallest)
     vals = [seq.smallest[k] for k in ks]
     assert vals == sorted(vals)
     evals = [seq.largest[k] for k in range(1, seq.reliable_largest_max + 1)]
@@ -67,7 +67,7 @@ def test_rank_sequence_requires_ranks(dp_5k):
 
 def test_least_values_prime_except_known(sieve_50k):
     seq = an.derive_sequences(sieve_50k)
-    for k in sorted(seq.reliable_smallest()):
+    for k in sorted(seq.smallest):
         expect_composite = k in COMPOSITE_LEAST
         assert is_prime(seq.smallest[k]) != expect_composite, k
 
@@ -134,6 +134,15 @@ def test_reconstruct_errors(sieve_50k):
         an.reconstruct(sieve_50k, 0)
     with pytest.raises(ValueError):
         an.reconstruct(sieve_50k, 50_001)
+    # f(10) = 3 leaves 10 without a tight split: a corrupt table, not a
+    # failed assertion
+    comp = bytearray(sieve_50k.complexity[:1001])
+    comp[10] = 3
+    broken = an.ComplexityTable(limit=1000, complexity=bytes(comp))
+    with pytest.raises(ValueError, match="^10 has no tight split .*table corrupt"):
+        an.reconstruct(broken, 10)
+    with pytest.raises(ValueError, match="^10 has no tight split .*table corrupt"):
+        an.Reconstructor(broken).min_height(10)
 
 
 # -- verification checks ---------------------------------------------------
@@ -193,6 +202,30 @@ def test_mersenne_table(sieve_50k):
         assert sieve_50k.value(2**n - 1) - 2 * n == MERSENNE_EXCESS[n]
         n += 1
     assert n == 16  # every n with 2^n - 1 <= 50,000 was read
+
+
+def test_mersenne_counterexamples(sieve_50k):
+    # A(8) raised from 1 to 6 and B(5) lowered from 1 to -3: each of the
+    # five facts fails at least once
+    comp = bytearray(sieve_50k.complexity)
+    comp[2**8 - 1] += 5
+    comp[2**5 + 1] -= 4
+    rep = an.mersenne_table(an.ComplexityTable(limit=sieve_50k.limit, complexity=bytes(comp)))
+    assert (rep.passed, rep.checked) == (False, 43)
+    assert rep.counterexamples == [
+        {"fact": "excess-bound", "n": 8, "excess": 6, "bound": 1},
+        {"fact": "double", "n": 4, "lhs": 6, "rhs": 1},
+        {"fact": "double", "n": 5, "lhs": 2, "rhs": -2},
+        {"fact": "triple", "n": 5, "lhs": 2, "rhs": -1},
+        {"fact": "step", "n": 7, "lhs": 6, "rhs": 2},
+        {"fact": "power-of-two-exponent", "k": 3, "excess": 6, "expected": 1},
+    ]
+    assert [list(ce) for ce in rep.counterexamples[:2]] == [
+        ["fact", "n", "excess", "bound"], ["fact", "n", "lhs", "rhs"]]
+    # the facts read only the 2^n -+ 1 inside the table
+    cut = [an.ComplexityTable(limit=limit, complexity=sieve_50k.complexity[: limit + 1])
+           for limit in (1, 3, 32766, 32767)]
+    assert [an.mersenne_table(t).checked for t in cut] == [0, 4, 40, 43]
 
 
 # -- scans -----------------------------------------------------------------
@@ -296,9 +329,7 @@ def test_fit_collinear_points():
         largest={},
         second_largest={},
         rank_firsts=None,
-        reliable_smallest_max=12,
         reliable_largest_max=0,
-        reliable_rank_max=None,
     )
     fit = an.fit_e_asymptote(seq)
     assert fit.slope == pytest.approx(2.0, abs=1e-12)
@@ -319,7 +350,7 @@ def test_fit_is_statistics_linear_regression(sieve_50k, desk_seq):
     # the fit's own fsum sums are those of statistics.linear_regression
     for seq in (an.derive_sequences(sieve_50k), desk_seq):
         fit = an.fit_e_asymptote(seq)
-        ks = sorted(seq.reliable_smallest())
+        ks = sorted(seq.smallest)
         want = statistics.linear_regression(ks, [math.log(seq.smallest[k]) / LN3 for k in ks])
         assert (fit.slope, fit.intercept) == (want.slope, want.intercept)
 
@@ -350,9 +381,7 @@ def test_fit_needs_points():
         largest={},
         second_largest={},
         rank_firsts=None,
-        reliable_smallest_max=9,
         reliable_largest_max=0,
-        reliable_rank_max=None,
     )
     with pytest.raises(ValueError):
         an.fit_e_asymptote(seq)

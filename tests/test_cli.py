@@ -11,6 +11,7 @@ import pytest
 
 from intcomplexity import storage
 from intcomplexity.cli import _SUBCOMMANDS, main
+from intcomplexity.core import ComplexityTable
 from intcomplexity.dp import build
 from test_reporting import parse_rows
 
@@ -389,6 +390,21 @@ def test_expr_command(table_file, capsys):
     rc, out = run(capsys, ["expr", "14", "--table", table_file])
     assert rc == 0
     assert "ones 8, height 4" in out
+
+
+def test_contradictory_table_is_an_error(tmp_path, capsys):
+    # f(10) = 3, saved with a valid CRC, leaves 10 without a tight split
+    t = build(1000, ranks=True)
+    comp = bytearray(t.complexity)
+    comp[10] = 3
+    for rank in (None, t.rank):
+        path = str(tmp_path / f"bad-{rank is None}.icx")
+        storage.save(ComplexityTable(limit=1000, complexity=bytes(comp), rank=rank), path)
+        # a ranked table answers query from its rank column
+        for command in [["expr", "10"]] + [["query", "10"]] * (rank is None):
+            assert main([*command, "--table", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "10" in err and "table corrupt" in err
 
 
 def test_missing_table_file(capsys):
