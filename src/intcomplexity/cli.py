@@ -84,14 +84,16 @@ def _record_rows(cls, recs):
 
 
 def query_rows(table, args):
+    """n's complexity, and its rank from the complexities, checked against
+    the rank column of a ranked table."""
+    from . import analysis
+
     n = args.n
     c = table.value(n)  # range check before any rank reconstruction
-    if table.has_ranks:
-        r = table.rank_of(n)
-    else:
-        from . import analysis
-
-        r = analysis.Reconstructor(table).min_height(n)
+    r = analysis.Reconstructor(table).min_height(n)
+    if table.has_ranks and table.rank_of(n) != r:
+        raise ValueError(f"{n} has rank {table.rank_of(n)} in the table but {r} by its "
+                         "complexities: table corrupt")
     return ["n", "complexity", "rank"], [[n, c, r]]
 
 

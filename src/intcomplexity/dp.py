@@ -108,10 +108,9 @@ def _check_limit(limit: int, ranks: bool, resume: str | None) -> None:
     if limit > 2 and upper_bound(limit) > MAX_COMPLEXITY:
         raise ValueError("limit too large for one-byte complexity storage")
     # the build's columns (the returned table's) and what a resume loads
-    need = (limit + 1) * (3 if ranks else 1) + (os.path.getsize(resume) if resume else 0)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(f"limit {limit} needs {need} bytes, more than physical memory ({have})")
+    storage.check_memory(
+        (limit + 1) * (3 if ranks else 1) + (os.path.getsize(resume) if resume else 0),
+        f"limit {limit}")
 
 
 def _addend_top(lo: int, hi: int, c: int) -> int:

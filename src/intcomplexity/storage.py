@@ -11,13 +11,17 @@ Layout, little-endian throughout:
     checksum  u64      zlib.crc32 of the header and the payload: every
                        byte before it
 
-A file is its table's bytes and records no builder.  Older layouts are
-refused, and rebuilding the table with ``intcomplexity build`` replaces
-them: versions 1 (a byte-sum checksum) and 2 (a CRC of the payload
-alone, which let an edit of limit and flags load as another table) raise
-UnsupportedVersionError; a partial checkpoint (flags bit 1, with a
-position field) or a table tagged ``dp`` or ``oracle`` (flags bits 2-3)
-raises UnknownFlagsError.
+A file is its table's bytes and records no builder.  ``load`` refuses
+any other file with IcxError, whose message names the fault: "bad
+magic"; "unsupported version" for versions 1 (a byte-sum checksum) and
+2 (a CRC of the payload alone, which let an edit of limit and flags load
+as another table), which ``intcomplexity build`` replaces; "unknown bits
+in flags" for a partial checkpoint (bit 1) or a table tagged ``dp`` or
+``oracle`` (bits 2-3); "nonsensical limit"; "bytes, expected" or
+"shorter than" for a cut file; "checksum mismatch"; or, under a valid
+checksum, values no build writes.  Columns that would not fit in
+physical memory raise ValueError before they are allocated, as a build
+beyond it does.
 
 A checkpoint is the unranked table of a build's finished prefix, byte
 for byte the file a build to that limit writes.  Writes go to a
@@ -43,27 +47,15 @@ _U64 = struct.Struct("<Q")
 
 
 class IcxError(Exception):
-    """Base class for table-file integrity problems."""
+    """A table file that is damaged or of a layout this reader refuses;
+    the message says which."""
 
 
-class BadMagicError(IcxError):
-    pass
-
-
-class UnsupportedVersionError(IcxError):
-    pass
-
-
-class TruncatedFileError(IcxError):
-    pass
-
-
-class ChecksumError(IcxError):
-    pass
-
-
-class UnknownFlagsError(IcxError):
-    pass
+def check_memory(need: int, what: str) -> None:
+    """Refuse, with ValueError, ``need`` bytes for ``what`` beyond physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"{what} needs {need} bytes, more than physical memory ({have})")
 
 
 def _checksum(*parts) -> int:
@@ -74,9 +66,11 @@ def _checksum(*parts) -> int:
     return crc
 
 
-def _atomic_write(path: str, head: bytes, *payload) -> None:
-    """Write head, the payload buffers and the checksum of both, without
-    joining them."""
+def _atomic_write(path: str, limit: int, flags: int, *columns) -> None:
+    """Write the header of limit and flags, the columns (buffers with
+    index 0 unused) and the checksum of all of them, without joining them."""
+    head = _HEADER.pack(MAGIC, VERSION, limit, flags)
+    payload = [memoryview(c)[1:] for c in columns]
     directory = os.path.dirname(os.path.abspath(path))
     # a name of its own for each process and each call
     tmp = os.path.join(directory, f".icx-{os.getpid()}-{os.urandom(4).hex()}")
@@ -92,23 +86,18 @@ def _atomic_write(path: str, head: bytes, *payload) -> None:
         raise
 
 
-def _write(table: ComplexityTable, path: str) -> None:
-    flags = FLAG_RANKS if table.rank is not None else 0
-    payload = [memoryview(table.complexity)[1:]]
-    if table.rank is not None:
-        payload.append(memoryview(table.rank)[1:])
-    _atomic_write(path, _HEADER.pack(MAGIC, VERSION, table.limit, flags), *payload)
-
-
 def save(table: ComplexityTable, path: str) -> None:
     """Write a complete table; load(path) returns a bit-identical one."""
-    _write(table, path)
+    if table.rank is None:
+        _atomic_write(path, table.limit, 0, table.complexity)
+    else:
+        _atomic_write(path, table.limit, FLAG_RANKS, table.complexity, table.rank)
 
 
 def save_checkpoint(path: str, prefix) -> None:
     """Write a build's finished prefix, any buffer with index 0 unused, as
     the unranked table of limit len(prefix) - 1."""
-    _write(ComplexityTable(limit=len(prefix) - 1, complexity=prefix), path)
+    _atomic_write(path, len(prefix) - 1, 0, prefix)
 
 
 def _read_column(fh, section: int) -> memoryview:
@@ -125,30 +114,31 @@ def load(path: str) -> ComplexityTable:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
-            raise TruncatedFileError(f"{path}: shorter than the fixed header")
+            raise IcxError(f"{path}: shorter than the fixed header")
         magic, version, limit, flags = _HEADER.unpack(head)
         if magic != MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}")
+            raise IcxError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
-            raise UnsupportedVersionError(f"{path}: unsupported version {version}")
+            raise IcxError(f"{path}: unsupported version {version}")
         if flags & ~FLAG_RANKS:
-            raise UnknownFlagsError(f"{path}: unknown bits in flags {flags:#x}")
+            raise IcxError(f"{path}: unknown bits in flags {flags:#x}")
         if limit < 1:
             raise IcxError(f"{path}: nonsensical limit {limit}")
-        with_ranks = bool(flags & FLAG_RANKS)
-        expected = _HEADER.size + limit * (2 if with_ranks else 1) + 8
+        columns = 2 if flags & FLAG_RANKS else 1
+        expected = _HEADER.size + limit * columns + 8
         if size != expected:
-            raise TruncatedFileError(f"{path}: {size} bytes, expected {expected}")
+            raise IcxError(f"{path}: {size} bytes, expected {expected}")
+        check_memory((limit + 1) * columns, path)
         comp = _read_column(fh, limit)
-        rank = _read_column(fh, limit) if with_ranks else None
+        rank = _read_column(fh, limit) if columns == 2 else None
         tail = fh.read(8)
     # readinto fills a column unless the file ends, so a short column
     # leaves the tail short too
     if len(tail) < 8:
-        raise TruncatedFileError(f"{path}: shorter than {expected} bytes while read")
+        raise IcxError(f"{path}: shorter than {expected} bytes while read")
     payload = [c[1:] for c in (comp, rank) if c is not None]
     if _checksum(head, *payload) != _U64.unpack(tail)[0]:
-        raise ChecksumError(f"{path}: checksum mismatch")
+        raise IcxError(f"{path}: checksum mismatch")
     try:
         return ComplexityTable(limit=limit, complexity=comp, rank=rank)
     except ValueError as exc:  # a valid checksum over values no build writes

@@ -393,15 +393,18 @@ def test_expr_command(table_file, capsys):
 
 
 def test_contradictory_table_is_an_error(tmp_path, capsys):
-    # f(10) = 3, saved with a valid CRC, leaves 10 without a tight split
+    # saved with a valid CRC: f(10) = 3 leaves 10 without a tight split, and
+    # a wrong rank byte beside valid complexities contradicts them
     t = build(1000, ranks=True)
     comp = bytearray(t.complexity)
     comp[10] = 3
-    for rank in (None, t.rank):
-        path = str(tmp_path / f"bad-{rank is None}.icx")
-        storage.save(ComplexityTable(limit=1000, complexity=bytes(comp), rank=rank), path)
-        # a ranked table answers query from its rank column
-        for command in [["expr", "10"]] + [["query", "10"]] * (rank is None):
+    rank = bytearray(t.rank)
+    rank[10] += 1
+    for i, (c, r) in enumerate([(comp, None), (comp, t.rank), (t.complexity, rank)]):
+        path = str(tmp_path / f"bad-{i}.icx")
+        storage.save(ComplexityTable(limit=1000, complexity=bytes(c), rank=r), path)
+        # expr reads no rank column
+        for command in (["expr", "10"], ["query", "10"])[c is not comp:]:
             assert main([*command, "--table", path]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "10" in err and "table corrupt" in err

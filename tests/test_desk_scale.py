@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -103,3 +104,24 @@ def test_set_up_errors_exit_2(tmp_path, capsys):
     blocker.write_text("")
     assert run(LIMIT, str(blocker)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_table_beyond_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # a table file whose columns exceed physical memory is refused before
+    # they are allocated: query and the desk script end with exit 2, and
+    # the script neither rebuilds the table nor writes a report
+    run = _desk_run()
+    outdir = tmp_path / "desk"
+    outdir.mkdir()
+    table_path = outdir / f"table-{LIMIT}.icx"
+    storage.save(build(LIMIT, ranks=True), str(table_path))
+    real = os.sysconf
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2 * LIMIT}  # the columns take 2 * (LIMIT + 1)
+    monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or real(name))
+    error = (f"error: {table_path} needs {2 * (LIMIT + 1)} bytes, "
+             f"more than physical memory ({2 * LIMIT})\n")
+    assert cli.main(["query", "5", "--table", str(table_path)]) == 2
+    assert capsys.readouterr().err == error
+    assert run(LIMIT, str(outdir)) == 2
+    assert capsys.readouterr().err == error
+    assert os.listdir(outdir) == [table_path.name]

@@ -12,7 +12,7 @@ from intcomplexity import dp, storage
 from intcomplexity.core import ComplexityTable
 from intcomplexity.dp import build
 from intcomplexity.primality import factorize
-from intcomplexity.storage import BadMagicError, load
+from intcomplexity.storage import IcxError, load
 
 
 class Crash(Exception):
@@ -159,7 +159,7 @@ def test_resume_corrupt_magic(tmp_path, monkeypatch):
     blob[0] ^= 0xFF
     with open(path, "wb") as fh:
         fh.write(blob)
-    with pytest.raises(BadMagicError):
+    with pytest.raises(IcxError, match="bad magic"):
         build(2000, resume=path)
 
 
