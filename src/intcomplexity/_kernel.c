@@ -1,9 +1,9 @@
 /* Block kernel of the table builder (dp.py) and of the analyses' block
  * passes (analysis.py), loaded through ctypes.
  *
- * Every column is a uint8 array indexed by n, passed whole; a builder
- * block is [lo, hi) with hi <= 2*lo, so every product part and every sum
- * part n - j with j >= 6 below lo is final when the block starts.  The
+ * Every column is a uint8 array indexed by n, passed whole; every block
+ * is one of core.blocks, [lo, hi) with hi <= 2*lo, so a builder block's
+ * factors and addends j <= (hi - 1) / 2 lie below lo and are final.  The
  * kernel allocates nothing and cannot fail: its callers own every buffer,
  * the scratch ones included, and size them.  Sums of two values wrap as
  * uint8, as the reference passes' numpy sums do; table values stay at or
@@ -167,8 +167,8 @@ int64_t ic_prime_steps(const uint8_t *c, const int64_t *base, int64_t nbase,
  * is the block's largest 3*log3(n) with 1e-9 to spare for rounding, so a
  * complexity at or above it keeps the defect above the bound anywhere in
  * the block. */
-int64_t ic_defects(const uint8_t *c, const uint8_t *r, int64_t lo, int64_t hi,
-                   double coef, double tol, double ln3, uint8_t *flag)
+int64_t ic_defects(const uint8_t *c, const uint8_t *r, double coef, double tol,
+                   double ln3, int64_t lo, int64_t hi, uint8_t *flag)
 {
     double top = log((double)(hi - 1)) * 3.0 / ln3 + 1e-9, bound[256];
     int lim[256];

@@ -4,17 +4,16 @@ Sequence extraction (least/greatest value per complexity, least value
 per rank) and the top logarithmic complexities search the bytes or
 bytearray that holds a column, in place (``kernel.backing``).  The prime
 check, the defect-rank check and the first-operation scan are block
-passes: ``_blocks`` is the one loop over blocks of ``block_width(limit)``,
-which runs a function of the compiled block kernel (``_kernel.c``) on
-each block to flag the n that fail its test, and hands back each call's
-result with the flagged n.  The power laws and the 2^n + 1 rule are
-closed forms: each hands its (n, expected) pairs to ``_closed_form``,
-the one loop that compares them with the table.  The Mersenne check
-builds one list of (holds, counterexample) cases from the entries at
-2^n -+ 1.  Reconstruction and the collapse scan read single entries;
-the chain scan and the fit, the least values.  Nothing here imports
-numpy.  Every verification's ``Report`` comes from ``_report``; the
-other results are named tuples, whose ``_fields`` give a report's
+passes: ``_blocks`` runs a flag pass of the compiled block kernel
+(``_kernel.c``) over the builder's blocks, ``core.blocks``, and hands
+back each call's result with the n it flagged.  The power laws and the
+2^n + 1 rule are closed forms: each hands its (n, expected) pairs to
+``_closed_form``, the one loop that compares them with the table.  The
+Mersenne check builds one list of (holds, counterexample) cases from the
+entries at 2^n -+ 1.  Reconstruction and the collapse scan read single
+entries; the chain scan and the fit, the least values.  Nothing here
+imports numpy.  Every verification's ``Report`` comes from ``_report``;
+the other results are named tuples, whose ``_fields`` give a report's
 headers in ``cli``.
 
 ``tight_splits`` is the one enumeration of the splits n = p + q or
@@ -39,7 +38,7 @@ from .core import (
     ComplexityTable,
     FIRST_SUM_NECESSARY,
     addend_bound,
-    block_width,
+    blocks,
     defect,
     log_complexity,
     max_expressible,
@@ -295,18 +294,20 @@ def _flagged(flag: bytearray, lo: int, hi: int):
         i = flag.find(1, i + 1, hi - lo)
 
 
-def _blocks(t: ComplexityTable, first: int, last: int, block_pass):
-    """Runs block_pass(lo, hi, flag) on each block [lo, hi) of
-    ``block_width(t.limit)`` in [first, last], and yields what it returned
-    with the n whose byte flag[n - lo] it set to 1, ascending.  ``flag`` is
-    the address of one buffer the width of a block, so each block's n are
-    read before the next block runs."""
-    width = block_width(t.limit)
-    flag = bytearray(min(width, last))
+def _blocks(name: str, first: int, last: int, *args):
+    """Runs the kernel's flag pass ``name`` as name(*args, lo, hi, flag) on
+    each block [lo, hi) of ``blocks(first, last)``, with the columns and
+    other bytes in ``args`` by address, and yields what it returned with
+    the n whose byte flag[n - lo] it set to 1, ascending.  ``flag`` is one
+    buffer the width of the widest block (at least a byte, for an address),
+    so each block's n are read before the next block runs."""
+    spans = blocks(first, last)
+    flag = bytearray(max((hi - lo for lo, hi in spans), default=1))
     fa = kernel.address(flag)
-    for lo in range(first, last + 1, width):
-        hi = min(lo + width, last + 1)
-        yield block_pass(lo, hi, fa), _flagged(flag, lo, hi)
+    block_pass = getattr(kernel.load(), name)
+    addressed = [kernel.address(a) if isinstance(a, (bytes, bytearray)) else a for a in args]
+    for lo, hi in spans:
+        yield block_pass(*addressed, lo, hi, fa), _flagged(flag, lo, hi)
 
 
 def check_prime_plus1(t: ComplexityTable) -> Report:
@@ -318,12 +319,9 @@ def check_prime_plus1(t: ComplexityTable) -> Report:
     c = kernel.backing(t.complexity)
     primes = primes_up_to(math.isqrt(limit))
     base = array("q", primes).tobytes()  # int64, as the kernel reads them
-    steps = kernel.load().ic_prime_steps
-    ca, basea = kernel.address(c), kernel.address(base)
     checked = 0
     counterexamples = []
-    blocks = _blocks(t, 2, limit, lambda lo, hi, fa: steps(ca, basea, len(primes), lo, hi, fa))
-    for count, failing in blocks:
+    for count, failing in _blocks("ic_prime_steps", 2, limit, c, base, len(primes)):
         checked += count
         counterexamples += [{"n": p, "expected": c[p - 1] + 1, "actual": c[p]} for p in failing]
     return _report("prime-plus1", t, checked, counterexamples)
@@ -337,12 +335,10 @@ def check_defect_rank(t: ComplexityTable) -> Report:
     if not t.has_ranks:
         raise ValueError("defect-rank check requires a table with ranks")
     c, r = kernel.backing(t.complexity), kernel.backing(t.rank)
-    defects = kernel.load().ic_defects
-    ca, ra = kernel.address(c), kernel.address(r)
     violations = 0
     counterexamples = []
-    for count, failing in _blocks(t, 1, t.limit, lambda lo, hi, fa: defects(
-            ca, ra, lo, hi, _DEFECT_RANK_COEF, _REAL_TOL, LN3, fa)):
+    for count, failing in _blocks("ic_defects", 1, t.limit, c, r,
+                                  _DEFECT_RANK_COEF, _REAL_TOL, LN3):
         violations += count
         for n in itertools.islice(failing, 100 - len(counterexamples)):
             counterexamples.append({"n": n, "defect": defect(n, c[n]),
@@ -386,9 +382,10 @@ class CollapseRecord(namedtuple("CollapseRecord", (
 
 
 def collapse_scan(t: ComplexityTable, prime_cap: int) -> list[CollapseRecord]:
+    """The record of each prime p < prime_cap inside the table."""
     c = t.complexity
     out = []
-    for p in primes_up_to(min(prime_cap, t.limit)):
+    for p in primes_up_to(min(prime_cap - 1, t.limit)):
         cp = c[p]
         collapses = None
         k = 2
@@ -454,10 +451,8 @@ def first_operation_scan(t: ComplexityTable) -> list[FirstOpRecord]:
     Empty at any limit below the first sum-necessary number.
     """
     c = kernel.backing(t.complexity)  # at most 127, so no sum wraps
-    survivors = kernel.load().ic_survivors
-    ca = kernel.address(c)
     out = []
-    for _, flagged in _blocks(t, 2, t.limit, lambda lo, hi, fa: survivors(ca, lo, hi, fa)):
+    for _, flagged in _blocks("ic_survivors", 2, t.limit, c):
         for n in flagged:
             rec = classify_first_operation(t, n)
             if rec.classification not in ("product", "sub1"):

@@ -5,8 +5,8 @@ arithmetic expression for it over {1, +, *} (OEIS A005245).  Everything
 else in the package is built on the exact bounds and closed forms here:
 the 3*log3 lower bound, the largest-value-per-ones sequence (A000792),
 the integer logarithm (A001414), logarithmic complexity, defect, the
-smallest-addend bound used by the builders, and the block geometry that
-the builder and the first-operation scan share.
+smallest-addend bound used by the builders, and ``blocks``, the one
+block geometry, which the builder and the analyses' block passes walk.
 """
 
 from __future__ import annotations
@@ -126,19 +126,28 @@ def addend_bound(n: int, c_upper: int) -> int:
     return (n - ceil_s) // 2
 
 
-def block_width(limit: int) -> int:
-    """Widest block [lo, hi) that the block-wise passes take at this limit.
+def blocks(lo: int, last: int, cut: int = 0) -> list[tuple[int, int]]:
+    """The blocks [lo, hi) of the builder and of the analyses' block passes:
+    they cover [lo, last], lo >= 1, in increasing order with hi <= 2*lo,
+    each at most max(2^16, 32*isqrt(last)) wide, and with ``cut`` > 0 every
+    multiple of it below ``last`` is the last n of a block.
 
-    A block is a handful of kernel calls and a few Python steps (the
-    addend cap, a checkpoint test), and its product pass walks every
-    divisor d <= sqrt(hi) once, so a width in proportion to sqrt(limit)
-    keeps that walk's fixed cost per divisor a fixed share of the block's
-    work.  The factor 32 keeps a block's product keys and complexities
-    near 2 MB at 477,028,439, inside one core's L2 cache; at 64 the ranked
-    build there took about a quarter longer.  Small limits keep each
-    block's buffers near 64 KB.
+    A block is a handful of kernel calls and a few Python steps (the addend
+    cap, a checkpoint test), and its product pass walks each divisor up to
+    sqrt(hi) once, so a width in proportion to sqrt(last) keeps that walk's
+    fixed cost per divisor a fixed share of the block's work.  The factor 32
+    keeps a block's product keys and complexities near 2 MB at 477,028,439,
+    inside one core's L2 cache; at 64 the ranked build there took about a
+    quarter longer.  Small limits keep each block's buffers near 64 KB.
     """
-    return max(1 << 16, 32 * math.isqrt(limit))
+    width = max(1 << 16, 32 * math.isqrt(last))
+    step = cut or last + 1  # without a cut, the next multiple lies past last + 1
+    out = []
+    while lo <= last:
+        hi = min(2 * lo, lo + width, last + 1, -(-lo // step) * step + 1)
+        out.append((lo, hi))
+        lo = hi
+    return out
 
 
 def check_stored(complexity) -> None:

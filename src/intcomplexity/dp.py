@@ -1,18 +1,17 @@
 """Block-segmented builder: complexities, ranks, checkpoints and resume.
 
-Every table in the package comes from ``build``.  It settles n in
-blocks [lo, hi), hi <= 2*lo and at most ``core.block_width(limit)``
-wide, in increasing order; everything below lo is final when a block
-starts.  The passes over a block run in C, in the block kernel
-(``_kernel.c``, compiled on first use into the per-user cache and loaded
-through ctypes; see ``kernel``).  This module keeps the block loop, the
-addend cap, checkpoints and resume, and imports no numpy; the numpy
-builder it replaced is the tests' reference.  It owns every buffer the
-kernel writes, for the kernel allocates nothing: the bytearray columns,
-one block's product keys, and a scratch buffer that holds the sum scan's
-snapshot (grown when a round needs more) and then the rank pass's flags.
-The table it returns is those columns, as read-only memoryviews, with
-nothing copied.
+Every table in the package comes from ``build``.  It settles n in the
+blocks of ``core.blocks``, in increasing order: everything below lo is
+final when a block [lo, hi) starts.  The passes over a block run in C,
+in the block kernel (``_kernel.c``, compiled on first use into the
+per-user cache and loaded through ctypes; see ``kernel``).  This module
+keeps the block loop, the addend cap, checkpoints and resume, and
+imports no numpy; the numpy builder it replaced is the tests' reference.
+It owns every buffer the kernel writes, for the kernel allocates
+nothing: the bytearray columns, the widest block's product keys, and a
+scratch buffer that holds the sum scan's snapshot (grown when a round
+needs more) and then the rank pass's flags.  The table it returns is
+those columns, as read-only memoryviews, with nothing copied.
 
 * Products: a split n = d*e with 2 <= d <= e has e <= n/2 < lo, so for
   each d <= sqrt(hi - 1) the kernel walks the block's multiples of d
@@ -95,7 +94,7 @@ from .core import (
     ComplexityTable,
     MAX_COMPLEXITY,
     addend_bound,
-    block_width,
+    blocks,
     max_expressible,
     upper_bound,
 )
@@ -160,23 +159,22 @@ def build(
     # through a view: f[:lo] = prefix copies a memoryview into a new bytearray first
     memoryview(f)[:lo] = prefix
     del prefix
-    width = block_width(limit)
+    spans = blocks(lo, limit, checkpoint_every)
+    # at least a byte: an empty buffer has no address
+    widest = max((hi - lo for lo, hi in spans), default=1)
     fa = kernel.address(f)
     # the sum scan's snapshot of f[lo - top, hi), grown to fit, and the rank
     # pass's flags of the block
-    scratch = bytearray(min(width, limit))
+    scratch = bytearray(widest)
     if ranks:
         # zero where no pass reads them (gp below 2, gs at 0), so that the
         # minimum gives rank 0 at 0 and 1
         gs = bytearray(limit + 1)
         gp = bytearray(limit + 1)
         gs[1] = 1  # the One is a part of any sum at height 1
-        key = bytearray(2 * min(width, limit))  # one uint16 product key per block entry
+        key = bytearray(2 * widest)  # one uint16 product key per block entry
         gsa, gpa, keya = kernel.address(gs), kernel.address(gp), kernel.address(key)
-    while lo <= limit:
-        hi = min(2 * lo, lo + width, limit + 1)
-        if checkpoint_every:
-            hi = min(hi, -(-lo // checkpoint_every) * checkpoint_every + 1)
+    for lo, hi in spans:
         if ranks:
             lib.ic_keys(fa, gpa, lo, hi, keya)
         else:
@@ -194,7 +192,6 @@ def build(
             lib.ic_ranks(fa, gsa, gpa, keya, lo, hi, top, kernel.address(scratch))
         if checkpoint_every and (hi - 1) % checkpoint_every == 0 and hi - 1 < limit:
             storage.save_checkpoint(out, memoryview(f)[:hi])
-        lo = hi
     rank = None
     if ranks:
         lib.ic_minimum(gsa, gpa, limit + 1)

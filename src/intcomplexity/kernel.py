@@ -42,7 +42,7 @@ _SIGNATURES = {
     "ic_ranks": (None, "p p p p q q q p"),
     "ic_minimum": (None, "p p q"),
     "ic_prime_steps": ("q", "p p q q q p"),
-    "ic_defects": ("q", "p p q q d d d p"),
+    "ic_defects": ("q", "p p d d d q q p"),
     "ic_survivors": (None, "p q q p"),
 }
 

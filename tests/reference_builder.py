@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from intcomplexity.core import MAX_COMPLEXITY, addend_bound, block_width, max_expressible
+from intcomplexity.core import MAX_COMPLEXITY, addend_bound, blocks, max_expressible
 
 _NONE = 127
 
@@ -122,13 +122,10 @@ def build(limit: int, ranks: bool = False) -> tuple[bytes, bytes | None]:
         gs = np.full(limit + 1, _NONE, dtype=np.uint8)
         gp = np.full(limit + 1, _NONE, dtype=np.uint8)
         gs[1] = 1
-    lo, width = 2, block_width(limit)
-    while lo <= limit:
-        hi = min(2 * lo, lo + width, limit + 1)
+    for lo, hi in blocks(2, limit):
         rp = _settle(f, lo, hi, gp)
         if ranks:
             _rank(f, gs, gp, rp, lo, hi)
-        lo = hi
     if not ranks:
         return f.tobytes(), None
     rank = np.minimum(gs, gp)

@@ -12,7 +12,8 @@ import reference_analysis
 from golden import COLLAPSE_POWER, COMPOSITE_LEAST, MERSENNE_EXCESS, TOP_LOG
 from intcomplexity import analysis as an
 from intcomplexity import cli, reporting
-from intcomplexity.core import LN3, ComplexityTable, defect, max_expressible, second_max_expressible
+from intcomplexity.core import (LN3, ComplexityTable, blocks, defect, max_expressible,
+                                second_max_expressible)
 from intcomplexity.dp import build
 from intcomplexity.enumerator import oracle_complexity
 from intcomplexity.expr import ONE, infix, postfix_emit
@@ -232,6 +233,9 @@ def test_mersenne_counterexamples(sieve_50k):
 
 
 def test_collapse_scan(sieve_50k):
+    # the primes below the bound: a prime bound is left out
+    assert [r.p for r in an.collapse_scan(sieve_50k, 7)] == [2, 3, 5]
+    assert [r.p for r in an.collapse_scan(sieve_50k, 8)] == [2, 3, 5, 7]
     recs = {r.p: r for r in an.collapse_scan(sieve_50k, 150)}
     assert recs[5].collapses_at == 6
     assert recs[11].collapses_at == 2
@@ -283,10 +287,16 @@ def _perturbed(t, seed=0, count=200):
     return ComplexityTable(limit=t.limit, complexity=bytes(comp))
 
 
-@pytest.mark.parametrize("width", [None, 777])
-def test_first_operation_scan_matches_per_n(sieve_50k, monkeypatch, width):
-    if width:  # many blocks, ending at arbitrary n
-        monkeypatch.setattr(an, "block_width", lambda limit: width)
+def _cut_blocks(first, last):
+    """The passes' blocks, cut at every multiple of 777 too: many blocks,
+    ending at arbitrary n."""
+    return blocks(first, last, 777)
+
+
+@pytest.mark.parametrize("cut", [None, 777])
+def test_first_operation_scan_matches_per_n(sieve_50k, monkeypatch, cut):
+    if cut:
+        monkeypatch.setattr(an, "blocks", _cut_blocks)
     assert an.first_operation_scan(sieve_50k) == _first_operation_reference(sieve_50k)
     broken = _perturbed(sieve_50k)
     got = an.first_operation_scan(broken)
@@ -439,8 +449,8 @@ def test_top_log_matches_whole_column_reference(sieve_5k, sieve_50k, desk_table)
 
 
 def test_prime_plus1_matches_whole_column_reference(sieve_50k, monkeypatch):
-    monkeypatch.setattr(an, "block_width", lambda limit: 777)  # many blocks
-    edge = build(2 + 3 * 777 - 1, ranks=True)  # its last block ends at the limit
+    monkeypatch.setattr(an, "blocks", _cut_blocks)
+    edge = build(3 * 777, ranks=True)  # its last block ends at a cut, the limit
     tables = [build(1), build(2), build(3), edge, sieve_50k, _perturbed(sieve_50k)]
     for t in tables:
         rep = an.check_prime_plus1(t)
@@ -451,7 +461,7 @@ def test_prime_plus1_matches_whole_column_reference(sieve_50k, monkeypatch):
 
 
 def test_defect_rank_matches_whole_column_reference(sieve_50k, monkeypatch):
-    monkeypatch.setattr(an, "block_width", lambda limit: 777)  # many blocks
+    monkeypatch.setattr(an, "blocks", _cut_blocks)
     lowered = _perturbed(sieve_50k, count=2000)
     t = ComplexityTable(limit=lowered.limit, complexity=lowered.complexity, rank=sieve_50k.rank)
     rep = an.check_defect_rank(t)

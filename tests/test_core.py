@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from intcomplexity.core import (
     ComplexityTable,
     addend_bound,
+    blocks,
     defect,
     integer_logarithm,
     is_power_of_3,
@@ -132,6 +135,30 @@ def test_addend_bound_examples():
 @given(st.integers(2, 10**6), st.integers(1, 60))
 def test_addend_bound_matches_naive(n, c):
     assert addend_bound(n, c) == naive_addend_bound(n, c)
+
+
+@given(st.integers(1, 2**40), st.integers(-5, 2**24), st.integers(0, 2**26))
+def test_blocks_geometry(lo, span, cut):
+    last = max(lo + span, 0)
+    cut = cut and max(cut, span // 4096 + 1)  # at most 4096 cuts, to keep the test short
+    got = blocks(lo, last, cut)
+    if lo > last:
+        assert got == []
+        return
+    # ascending, without a gap, from lo to last
+    assert got[0][0] == lo and got[-1][1] == last + 1
+    assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
+    width = max(1 << 16, 32 * math.isqrt(last))
+    assert all(a < b <= min(2 * a, a + width) for a, b in got)
+    ends = {b - 1 for _, b in got}
+    assert not cut or ends.issuperset(range(-(-lo // cut) * cut, last, cut))
+
+
+def test_blocks_examples():
+    assert blocks(2, 1) == blocks(5, 4, 3) == []
+    assert blocks(1, 10) == [(1, 2), (2, 4), (4, 8), (8, 11)]
+    assert blocks(2, 10, 5) == [(2, 4), (4, 6), (6, 11)]  # 5 ends a block, 10 is the last
+    assert blocks(2**20, 2**21)[:2] == [(2**20, 2**20 + 2**16), (2**20 + 2**16, 2**20 + 2**17)]
 
 
 def test_mersenne_upper_bound():

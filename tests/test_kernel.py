@@ -4,6 +4,7 @@ compiler, and builds that compile at once."""
 
 import ctypes
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -45,8 +46,8 @@ def test_desk_table_matches_reference(desk_table):
 
 
 def test_product_minima_of_any_values():
-    # blocks wider than lo, as the first-operation scan takes them, over
-    # values that contradict each other
+    # blocks wider than lo, which no pass of the package takes, over values
+    # that contradict each other
     rng = np.random.default_rng(16)
     c = rng.integers(0, 128, size=5000, dtype=np.uint8)
     minima = kernel.load().ic_products
@@ -55,6 +56,19 @@ def test_product_minima_of_any_values():
         minima(c.ctypes.data, lo, hi, got.ctypes.data)
         want = reference_builder.product_minima(c, lo, hi, np.empty(hi - lo, dtype=np.uint8))
         assert np.array_equal(got, want), (lo, hi)
+
+
+def test_signatures_match_the_source():
+    """ctypes cannot see the C prototypes, so a parameter moved on one side
+    only would pass wrong values without an error: each ic_ function's
+    return type and parameters, as p/q/i/d, are those of ``_SIGNATURES``."""
+    codes = {"void": None, "int": "i", "int64_t": "q", "double": "d"}
+    found = {}
+    source = Path(kernel.SOURCE).read_text()
+    for ret, name, params in re.findall(r"^(\w+) (ic_\w+)\(([^)]*)\)", source, re.M):
+        kinds = ["p" if "*" in p else codes[p.split()[-2]] for p in params.split(",")]
+        found[name] = (codes[ret], " ".join(kinds))
+    assert found == kernel._SIGNATURES
 
 
 def test_table_columns_are_read_in_place(tmp_path):

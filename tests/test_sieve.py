@@ -6,7 +6,7 @@ import pytest
 from golden import CHAIN4_COMPLEXITIES, CHAIN_LONG, LEAST_BY_RANK, LEAST_VALUE
 from intcomplexity.analysis import Reconstructor, chain_scan, tight_splits
 from intcomplexity.cli import main
-from intcomplexity.core import ComplexityTable, block_width, max_expressible
+from intcomplexity.core import ComplexityTable, blocks, max_expressible
 from intcomplexity.dp import build
 
 
@@ -60,11 +60,8 @@ def test_ranks_match_reconstruction(desk_table):
     limit = desk_table.limit
     f = np.frombuffer(desk_table.complexity, dtype=np.uint8)
     ns = {int(n) for n in np.random.default_rng(2012).integers(2, limit + 1, size=300)}
-    lo = 2
-    while lo <= limit:  # the blocks of dp.build
-        hi = min(2 * lo, lo + block_width(limit), limit + 1)
+    for lo, hi in blocks(2, limit):  # the blocks of dp.build
         ns |= {lo, hi - 1}
-        lo = hi
     by_3_or_4 = set()
     for j in (3, 4):  # n = m + j with f(m) + f(j) = f(n), m = 1 .. limit - j
         at = np.flatnonzero(f[1 : limit + 1 - j] + f[j] == f[1 + j :])
