@@ -1,14 +1,14 @@
 /* Block kernel of the table builder (dp.py) and of the analyses' block
- * passes (analysis.py), loaded through ctypes.
- *
- * Every column is a uint8 array indexed by n, passed whole; every block
- * is one of core.blocks, [lo, hi) with hi <= 2*lo, so a builder block's
- * factors and addends j <= (hi - 1) / 2 lie below lo and are final.  The
- * kernel allocates nothing and cannot fail: its callers own every buffer,
- * the scratch ones included, and size them.  Sums of two values wrap as
- * uint8, as the reference passes' numpy sums do; table values stay at or
- * below 127, so no sum used here wraps.  dp.py's docstring says what each
- * pass computes and why the result is exact.
+ * passes (analysis.py).  Each exported function's definition starts a line
+ * as "type ic_name(": those lines are the whole interface, from which
+ * kernel.py takes the ctypes types.  Every column is a uint8 array indexed
+ * by n, passed whole; every block is one of core.blocks, [lo, hi) with hi <=
+ * 2*lo, so a builder block's factors and addends j <= (hi - 1) / 2 lie below
+ * lo and are final.  The kernel allocates nothing and cannot fail: its
+ * callers own every buffer, the scratch ones included, and size them.  Sums
+ * of two values wrap as uint8, as the reference passes' numpy sums do; table
+ * values stay at or below 127, so no sum used here wraps.  dp.py's docstring
+ * says what each pass computes and why the result is exact.
  */
 #include <math.h>
 #include <stdint.h>

@@ -296,18 +296,14 @@ def _flagged(flag: bytearray, lo: int, hi: int):
 
 def _blocks(name: str, first: int, last: int, *args):
     """Runs the kernel's flag pass ``name`` as name(*args, lo, hi, flag) on
-    each block [lo, hi) of ``blocks(first, last)``, with the columns and
-    other bytes in ``args`` by address, and yields what it returned with
-    the n whose byte flag[n - lo] it set to 1, ascending.  ``flag`` is one
-    buffer the width of the widest block (at least a byte, for an address),
-    so each block's n are read before the next block runs."""
-    spans = blocks(first, last)
-    flag = bytearray(max((hi - lo for lo, hi in spans), default=1))
-    fa = kernel.address(flag)
+    each block [lo, hi) of ``blocks(first, last)``, and yields what it
+    returned with the n whose byte flag[n - lo] it set to 1, ascending.
+    ``flag`` is one buffer the width of the widest block, so each block's n
+    are read before the next block runs."""
+    flag = bytearray(max((hi - lo for lo, hi in blocks(first, last)), default=0))
     block_pass = getattr(kernel.load(), name)
-    addressed = [kernel.address(a) if isinstance(a, (bytes, bytearray)) else a for a in args]
-    for lo, hi in spans:
-        yield block_pass(*addressed, lo, hi, fa), _flagged(flag, lo, hi)
+    for lo, hi in blocks(first, last):
+        yield block_pass(*args, lo, hi, flag), _flagged(flag, lo, hi)
 
 
 def check_prime_plus1(t: ComplexityTable) -> Report:
@@ -316,12 +312,11 @@ def check_prime_plus1(t: ComplexityTable) -> Report:
     primes up to sqrt(limit), counts them, and flags those that break the
     rule."""
     limit = min(t.limit, FIRST_SUM_NECESSARY - 1)
-    c = kernel.backing(t.complexity)
-    primes = primes_up_to(math.isqrt(limit))
-    base = array("q", primes).tobytes()  # int64, as the kernel reads them
+    c = t.complexity
+    base = array("q", primes_up_to(math.isqrt(limit)))  # int64, as the kernel reads them
     checked = 0
     counterexamples = []
-    for count, failing in _blocks("ic_prime_steps", 2, limit, c, base, len(primes)):
+    for count, failing in _blocks("ic_prime_steps", 2, limit, c, base, len(base)):
         checked += count
         counterexamples += [{"n": p, "expected": c[p - 1] + 1, "actual": c[p]} for p in failing]
     return _report("prime-plus1", t, checked, counterexamples)
@@ -334,7 +329,7 @@ def check_defect_rank(t: ComplexityTable) -> Report:
     The report counts every violation and lists the first 100."""
     if not t.has_ranks:
         raise ValueError("defect-rank check requires a table with ranks")
-    c, r = kernel.backing(t.complexity), kernel.backing(t.rank)
+    c, r = t.complexity, t.rank
     violations = 0
     counterexamples = []
     for count, failing in _blocks("ic_defects", 1, t.limit, c, r,
@@ -450,9 +445,8 @@ def first_operation_scan(t: ComplexityTable) -> list[FirstOpRecord]:
     order are those of classifying every n with f(n) != f(n-1) + 1.
     Empty at any limit below the first sum-necessary number.
     """
-    c = kernel.backing(t.complexity)  # at most 127, so no sum wraps
     out = []
-    for _, flagged in _blocks("ic_survivors", 2, t.limit, c):
+    for _, flagged in _blocks("ic_survivors", 2, t.limit, t.complexity):
         for n in flagged:
             rec = classify_first_operation(t, n)
             if rec.classification not in ("product", "sub1"):

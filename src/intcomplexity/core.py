@@ -12,6 +12,7 @@ block geometry, which the builder and the analyses' block passes walk.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 LN3 = math.log(3.0)
 
@@ -126,11 +127,12 @@ def addend_bound(n: int, c_upper: int) -> int:
     return (n - ceil_s) // 2
 
 
-def blocks(lo: int, last: int, cut: int = 0) -> list[tuple[int, int]]:
-    """The blocks [lo, hi) of the builder and of the analyses' block passes:
-    they cover [lo, last], lo >= 1, in increasing order with hi <= 2*lo,
-    each at most max(2^16, 32*isqrt(last)) wide, and with ``cut`` > 0 every
-    multiple of it below ``last`` is the last n of a block.
+def blocks(lo: int, last: int, cut: int = 0) -> Iterator[tuple[int, int]]:
+    """The blocks [lo, hi) of the builder and of the analyses' block passes,
+    generated one at a time: they cover [lo, last], lo >= 1, in increasing
+    order with hi <= 2*lo, each at most max(2^16, 32*isqrt(last)) wide, and
+    with ``cut`` > 0 every multiple of it below ``last`` is the last n of a
+    block.
 
     A block is a handful of kernel calls and a few Python steps (the addend
     cap, a checkpoint test), and its product pass walks each divisor up to
@@ -142,12 +144,10 @@ def blocks(lo: int, last: int, cut: int = 0) -> list[tuple[int, int]]:
     """
     width = max(1 << 16, 32 * math.isqrt(last))
     step = cut or last + 1  # without a cut, the next multiple lies past last + 1
-    out = []
     while lo <= last:
         hi = min(2 * lo, lo + width, last + 1, -(-lo // step) * step + 1)
-        out.append((lo, hi))
+        yield lo, hi
         lo = hi
-    return out
 
 
 def check_stored(complexity) -> None:

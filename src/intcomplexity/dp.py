@@ -10,8 +10,10 @@ imports no numpy; the numpy builder it replaced is the tests' reference.
 It owns every buffer the kernel writes, for the kernel allocates
 nothing: the bytearray columns, the widest block's product keys, and a
 scratch buffer that holds the sum scan's snapshot (grown when a round
-needs more) and then the rank pass's flags.  The table it returns is
-those columns, as read-only memoryviews, with nothing copied.
+needs more) and then the rank pass's flags.  It passes each buffer
+itself, or a memoryview slice that starts at the block, and the kernel
+works in it in place.  The table it returns is those columns, as
+read-only memoryviews, with nothing copied.
 
 * Products: a split n = d*e with 2 <= d <= e has e <= n/2 < lo, so for
   each d <= sqrt(hi - 1) the kernel walks the block's multiples of d
@@ -136,9 +138,10 @@ def build(
     """Build the complexity table, and with ``ranks`` the rank column, for
     [1, limit].
 
-    ``out`` is where the finished table is saved; with ``checkpoint_every``
-    > 0, the unranked table of the finished prefix is saved at the same
-    path at every multiple of it below ``limit`` (atomically, newest wins).
+    ``out`` is where the finished table is saved, in a directory that
+    must exist before the build starts; with ``checkpoint_every`` > 0, the
+    unranked table of the finished prefix is saved at the same path at
+    every multiple of it below ``limit`` (atomically, newest wins).
     ``resume`` is the path of a smaller table, whose prefix is continued; a
     checkpoint is one.  The result is bit-identical to a one-shot build,
     and a limit at or below the stored one truncates the prefix without
@@ -152,17 +155,16 @@ def build(
         raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
     if checkpoint_every and not out:
         raise ValueError("checkpointing requires an output path")
+    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise FileNotFoundError(f"no directory to write {out} in")
     lib = kernel.load()
     prefix = storage.load(resume).complexity[: limit + 1] if resume else b"\x00\x01"
     f = bytearray(limit + 1)
-    lo = len(prefix)
-    # through a view: f[:lo] = prefix copies a memoryview into a new bytearray first
-    memoryview(f)[:lo] = prefix
+    start = len(prefix)
+    # through a view: f[:start] = prefix copies a memoryview into a new bytearray first
+    memoryview(f)[:start] = prefix
     del prefix
-    spans = blocks(lo, limit, checkpoint_every)
-    # at least a byte: an empty buffer has no address
-    widest = max((hi - lo for lo, hi in spans), default=1)
-    fa = kernel.address(f)
+    widest = max((hi - lo for lo, hi in blocks(start, limit, checkpoint_every)), default=0)
     # the sum scan's snapshot of f[lo - top, hi), grown to fit, and the rank
     # pass's flags of the block
     scratch = bytearray(widest)
@@ -173,28 +175,27 @@ def build(
         gp = bytearray(limit + 1)
         gs[1] = 1  # the One is a part of any sum at height 1
         key = bytearray(2 * widest)  # one uint16 product key per block entry
-        gsa, gpa, keya = kernel.address(gs), kernel.address(gp), kernel.address(key)
-    for lo, hi in spans:
+    for lo, hi in blocks(start, limit, checkpoint_every):
         if ranks:
-            lib.ic_keys(fa, gpa, lo, hi, keya)
+            lib.ic_keys(f, gp, lo, hi, key)
         else:
-            lib.ic_products(fa, lo, hi, fa + lo)
+            lib.ic_products(f, lo, hi, memoryview(f)[lo:])
         while True:  # rounds: close the chain, then scan sums until none lowers
-            top = _addend_top(lo, hi, lib.ic_chain(fa, lo, hi))
+            top = _addend_top(lo, hi, lib.ic_chain(f, lo, hi))
             if top < 6:
                 break
             if len(scratch) < top + hi - lo:
                 del scratch  # freed first, so that one scratch is held at a time
                 scratch = bytearray(top + hi - lo)
-            if not lib.ic_sums(fa, lo, hi, top, kernel.address(scratch)):
+            if not lib.ic_sums(f, lo, hi, top, scratch):
                 break
         if ranks:
-            lib.ic_ranks(fa, gsa, gpa, keya, lo, hi, top, kernel.address(scratch))
+            lib.ic_ranks(f, gs, gp, key, lo, hi, top, scratch)
         if checkpoint_every and (hi - 1) % checkpoint_every == 0 and hi - 1 < limit:
             storage.save_checkpoint(out, memoryview(f)[:hi])
     rank = None
     if ranks:
-        lib.ic_minimum(gsa, gpa, limit + 1)
+        lib.ic_minimum(gs, gp, limit + 1)
         rank = memoryview(gs).toreadonly()
     table = ComplexityTable(limit=limit, complexity=memoryview(f).toreadonly(), rank=rank)
     if out:

@@ -9,9 +9,13 @@ temporary file in that directory and renames it into place, so builds
 that start together on an empty cache each finish with a whole library.
 Without a C compiler, ``load`` raises RuntimeError.
 
-The modules this needs beyond the package's own (ctypes, subprocess)
-are imported on first use, so that importing the package or loading a
-table loads neither of them.
+``load`` declares each function's types from its definition in the
+source, the one statement of the interface (``_prototypes``), and takes
+buffers for pointers.
+
+The modules this needs beyond the package's own (ctypes, re,
+subprocess) are imported on first use, so that importing the package or
+loading a table loads none of them.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import functools
 import os
 import zlib
+from collections.abc import Iterator
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 
@@ -31,21 +36,6 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 # source goes before these options, so that -lm follows the code that calls
 # log.
 COMMAND = ("cc", "-O3", "-falign-loops=32", "-ffp-contract=off", "-shared", "-fPIC", "-lm")
-
-# name -> (restype, argtypes) of each kernel function, in ctypes type names;
-# "p" is a pointer, passed as an address or None
-_SIGNATURES = {
-    "ic_products": (None, "p q q p"),
-    "ic_keys": (None, "p p q q p"),
-    "ic_chain": ("i", "p q q"),
-    "ic_sums": ("i", "p q q q p"),
-    "ic_ranks": (None, "p p p p q q q p"),
-    "ic_minimum": (None, "p p q"),
-    "ic_prime_steps": ("q", "p p q q q p"),
-    "ic_defects": ("q", "p p d d d q q p"),
-    "ic_survivors": (None, "p q q p"),
-}
-
 
 def cache_dir() -> str:
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
@@ -81,34 +71,59 @@ def compiled(source: str = SOURCE, command=COMMAND) -> str:
     return path
 
 
+def _prototypes(source: str, pointer) -> Iterator[tuple[str, object, list]]:
+    """Name, restype and argtypes, in ctypes types with ``pointer`` for each
+    pointer, of each function whose definition starts a line of ``source``
+    as ``type ic_name(``; RuntimeError names a C type without a ctypes one."""
+    import ctypes
+    import re
+
+    types = {"*": pointer, "void": None, "int": ctypes.c_int, "int64_t": ctypes.c_int64,
+             "double": ctypes.c_double}
+    for ret, name, params in re.findall(r"^(\w+) (ic_\w+)\(([^)]*)\)", source, re.M):
+        # a parameter's C type is all of it but its name
+        kinds = [ret, *("*" if "*" in p else " ".join(p.split()[:-1]) for p in params.split(","))]
+        if unknown := [k for k in kinds if k not in types]:
+            raise RuntimeError(f"{name}: no ctypes type for the C type {unknown[0]!r}")
+        yield name, types[ret], [types[k] for k in kinds[1:]]
+
+
 @functools.cache
 def load():
-    """The kernel library, compiled if need be, with every function's types
-    declared; loaded once per process."""
+    """The kernel library, compiled if need be, with each function's types
+    declared from the source; loaded once per process.  A pointer argument
+    is bytes, a writable buffer (a bytearray, an ``array``, a writable
+    memoryview slice) or a read-only table column, passed as the address
+    of its first byte: a column is read in place when ``backing`` finds
+    the bytes or bytearray under it, and copied for the call otherwise.
+    An int address or None passes as it is."""
     import ctypes
 
-    types = {"p": ctypes.c_void_p, "q": ctypes.c_int64, "i": ctypes.c_int, "d": ctypes.c_double}
+    class Buffer:
+        # a ctypes object, not a bare int, which ctypes would pass as a C
+        # int; it keeps the buffer, or a column's copy, alive for the call
+        @staticmethod
+        def from_param(obj):
+            if obj is None or isinstance(obj, int):
+                return ctypes.c_void_p(obj)
+            if isinstance(obj, memoryview) and obj.readonly:
+                obj = backing(obj)
+            if isinstance(obj, bytes):
+                return ctypes.c_char_p(obj)
+            # from_buffer refuses an empty buffer, which has no first byte
+            return ctypes.byref(ctypes.c_char.from_buffer(obj)) if len(obj) else ctypes.c_void_p()
+
     lib = ctypes.CDLL(compiled())
-    for name, (restype, argtypes) in _SIGNATURES.items():
-        fn = getattr(lib, name)
-        fn.restype = types[restype] if restype else None
-        fn.argtypes = [types[t] for t in argtypes.split()]
+    with open(SOURCE) as fh:
+        for name, restype, argtypes in _prototypes(fh.read(), Buffer):
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
     return lib
-
-
-def address(buf) -> int:
-    """Address of the first byte of a writable buffer, such as a bytearray,
-    or of a bytes object; valid while the buffer lives and keeps its size."""
-    import ctypes
-
-    if isinstance(buf, bytes):
-        return ctypes.cast(buf, ctypes.c_void_p).value
-    return ctypes.addressof(ctypes.c_char.from_buffer(buf))
 
 
 def backing(column) -> bytes | bytearray:
     """The bytes or bytearray that holds a table column, for ``find`` and
-    ``address`` to read in place: the column if it is one, or the object
+    the kernel to read in place: the column if it is one, or the object
     under a memoryview of the whole of one, such as the read-only views
     that ``dp.build`` and ``storage.load`` return.  Any other buffer, a
     sliced view for one, is copied into bytes."""

@@ -74,7 +74,10 @@ def _atomic_write(path: str, limit: int, flags: int, *columns) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     # a name of its own for each process and each call
     tmp = os.path.join(directory, f".icx-{os.getpid()}-{os.urandom(4).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named by the table's path, not the temporary file's
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in (head, *payload, _U64.pack(_checksum(head, *payload))):

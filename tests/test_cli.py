@@ -275,6 +275,38 @@ def test_negative_checkpoint_interval_is_refused(tmp_path):
     assert not os.path.exists(path)
 
 
+def test_missing_output_directory_is_named(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x.icx")
+    assert main(["build", "--limit", "100", "--out", path]) == 2
+    assert path in capsys.readouterr().err
+    # a write that fails names the table's path, not the temporary file's
+    t = build(100)
+    with pytest.raises(FileNotFoundError, match=re.escape(path)):
+        storage.save(t, path)
+
+
+def test_benchmark_commands_run_clean_as_children(tmp_path):
+    """The CLI and the report script, as the benchmark runs them, print no
+    warning under -X dev with warnings as errors: the tests' warning filter
+    reaches only code that runs in the test process."""
+    outdir = tmp_path / "desk"
+    outdir.mkdir()
+    table = outdir / "table-20000.icx"
+    runs = (["-m", "intcomplexity.cli", "build", "--ranks", "--limit", "20000",
+             "--out", str(table)],
+            ["-m", "intcomplexity.cli", "build", "--limit", "20000", "--checkpoint-every",
+             "3000", "--out", str(tmp_path / "c.icx")],
+            ["scripts/run_desk_scale.py", "--limit", "20000", "--outdir", str(outdir)])
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", *argv],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+    assert table.stat().st_size > 0
+
+
 def test_oracle_command(capsys):
     rc, out = run(capsys, ["oracle", "14"])
     assert rc == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ def test_addend_bound_matches_naive(n, c):
 def test_blocks_geometry(lo, span, cut):
     last = max(lo + span, 0)
     cut = cut and max(cut, span // 4096 + 1)  # at most 4096 cuts, to keep the test short
-    got = blocks(lo, last, cut)
+    got = list(blocks(lo, last, cut))
     if lo > last:
         assert got == []
         return
@@ -155,10 +156,23 @@ def test_blocks_geometry(lo, span, cut):
 
 
 def test_blocks_examples():
-    assert blocks(2, 1) == blocks(5, 4, 3) == []
-    assert blocks(1, 10) == [(1, 2), (2, 4), (4, 8), (8, 11)]
-    assert blocks(2, 10, 5) == [(2, 4), (4, 6), (6, 11)]  # 5 ends a block, 10 is the last
-    assert blocks(2**20, 2**21)[:2] == [(2**20, 2**20 + 2**16), (2**20 + 2**16, 2**20 + 2**17)]
+    assert list(blocks(2, 1)) == list(blocks(5, 4, 3)) == []
+    assert list(blocks(1, 10)) == [(1, 2), (2, 4), (4, 8), (8, 11)]
+    assert list(blocks(2, 10, 5)) == [(2, 4), (4, 6), (6, 11)]  # 5 ends a block, 10 is the last
+    assert list(blocks(2**20, 2**21))[:2] == [(2**20, 2**20 + 2**16),
+                                               (2**20 + 2**16, 2**20 + 2**17)]
+
+
+def test_blocks_are_generated_one_at_a_time():
+    # a checkpoint at every n makes 10^5 blocks here, which a list of them
+    # would hold (about 9.6 MB) beside the table
+    tracemalloc.start()
+    try:
+        assert max(hi - lo for lo, hi in blocks(2, 10**5, 1)) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_mersenne_upper_bound():

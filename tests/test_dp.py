@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -166,6 +167,17 @@ def test_resume_corrupt_magic(tmp_path, monkeypatch):
 def test_checkpointing_needs_out():
     with pytest.raises(ValueError):
         build(100, checkpoint_every=10)
+
+
+def test_missing_output_directory_is_refused_before_building(tmp_path, monkeypatch):
+    def no_kernel():
+        raise AssertionError("the build started")
+
+    monkeypatch.setattr(dp.kernel, "load", no_kernel)
+    path = str(tmp_path / "missing" / "t.icx")
+    for kwargs in ({}, {"checkpoint_every": 10}):
+        with pytest.raises(FileNotFoundError, match=re.escape(path)):
+            build(100, out=path, **kwargs)
 
 
 def test_resume_from_smaller_table(tmp_path):

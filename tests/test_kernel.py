@@ -1,5 +1,6 @@
 """The compiled block kernel against the numpy reference builder, the
-table columns it reads in place, and its loader: the cache, a missing
+buffers it takes and the table columns it reads in place, and its
+loader: the prototypes read from the source, the cache, a missing
 compiler, and builds that compile at once."""
 
 import ctypes
@@ -8,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -58,36 +60,85 @@ def test_product_minima_of_any_values():
         assert np.array_equal(got, want), (lo, hi)
 
 
-def test_signatures_match_the_source():
-    """ctypes cannot see the C prototypes, so a parameter moved on one side
-    only would pass wrong values without an error: each ic_ function's
-    return type and parameters, as p/q/i/d, are those of ``_SIGNATURES``."""
-    codes = {"void": None, "int": "i", "int64_t": "q", "double": "d"}
-    found = {}
+def test_prototypes_are_read_from_the_source():
     source = Path(kernel.SOURCE).read_text()
-    for ret, name, params in re.findall(r"^(\w+) (ic_\w+)\(([^)]*)\)", source, re.M):
-        kinds = ["p" if "*" in p else codes[p.split()[-2]] for p in params.split(",")]
-        found[name] = (codes[ret], " ".join(kinds))
-    assert found == kernel._SIGNATURES
+    found = {name: (restype, argtypes)
+             for name, restype, argtypes in kernel._prototypes(source, ctypes.c_void_p)}
+    code = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
+    assert set(found) == set(re.findall(r"\bic_\w+", code))  # every name in the code
+    assert {name: len(argtypes) for name, (_, argtypes) in found.items()} == {
+        "ic_products": 4, "ic_keys": 5, "ic_chain": 3, "ic_sums": 5, "ic_ranks": 8,
+        "ic_minimum": 3, "ic_prime_steps": 6, "ic_defects": 8, "ic_survivors": 4}
+    p, q, d = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    assert found["ic_defects"] == (q, [p, p, d, d, d, q, q, p])
+    assert found["ic_chain"][0] is ctypes.c_int and found["ic_products"][0] is None
+    lib = kernel.load()
+    assert all(getattr(lib, name).argtypes for name in found)
+
+
+def test_an_unknown_c_type_is_refused():
+    source = "void ic_fill(uint8_t *out, size_t n)\n{\n}\n"
+    with pytest.raises(RuntimeError, match="ic_fill.*size_t"):
+        list(kernel._prototypes(source, ctypes.c_void_p))
+
+
+def test_pointer_arguments_take_any_buffer():
+    rng = np.random.default_rng(27)
+    a = rng.integers(0, 256, size=3000, dtype=np.uint8).tobytes()
+    b = rng.integers(0, 256, size=3001, dtype=np.uint8).tobytes()
+    operand = b[1:]
+    want = bytes(np.minimum(np.frombuffer(a, np.uint8), np.frombuffer(operand, np.uint8)))
+    held = np.frombuffer(operand, np.uint8).copy()  # alive while its address is used
+    minimum = kernel.load().ic_minimum
+    forms = (operand, bytearray(operand), memoryview(bytearray(b))[1:],
+             memoryview(bytearray(operand)).toreadonly(),  # a whole column, read in place
+             memoryview(b)[1:],  # a sliced read-only column, copied for the call
+             held.ctypes.data)
+    for form in forms:
+        out = bytearray(a)
+        minimum(out, form, len(a))
+        assert out == want, type(form)
+    # a writable view writes from its first byte
+    out = bytearray(b"\xff" + a)
+    minimum(memoryview(out)[1:], operand, len(a))
+    assert out == b"\xff" + want
+    # an empty bytearray has no byte to point at, and passes as NULL
+    assert minimum.argtypes[0].from_param(bytearray()).value is None
+    minimum(bytearray(), None, 0)
 
 
 def test_table_columns_are_read_in_place(tmp_path):
-    t = build(1000, ranks=True)
+    t = build(100_000, ranks=True)
     path = str(tmp_path / "t.icx")
     storage.save(t, path)
     loaded = storage.load(path)
+    survivors = kernel.load().ic_survivors
+
+    def block_pass(column):
+        """The flags of one kernel pass over a block of column, and the
+        tracemalloc peak while it ran."""
+        flag = bytearray(1000)
+        tracemalloc.start()
+        try:
+            survivors(column, 50_000, 51_000, flag)
+            return flag, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     raw = bytes(t.complexity)
     for column in (t.complexity, t.rank, loaded.complexity, loaded.rank, raw):
         held = kernel.backing(column)
         assert held is (column if column is raw else column.obj)
-        assert ctypes.string_at(kernel.address(held), len(column)) == column
+        flag, peak = block_pass(column)
+        assert flag == block_pass(bytes(column))[0] and peak < 10_000
     # any other buffer is copied: the analyses read a sliced column alike
     sliced = ComplexityTable(limit=500, complexity=t.complexity[:501], rank=t.rank[:501])
     assert type(kernel.backing(sliced.complexity)) is bytes
     assert kernel.backing(sliced.complexity) == t.complexity[:501]
+    assert block_pass(t.complexity[:60_000])[1] >= 60_000
     whole = build(500, ranks=True)
     for check in (analysis.check_prime_plus1, analysis.check_defect_rank,
-                  analysis.derive_sequences):
+                  analysis.derive_sequences, analysis.first_operation_scan):
         assert check(sliced) == check(whole)
 
 
