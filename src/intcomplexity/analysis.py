@@ -1,10 +1,12 @@
 """Everything derived from a finished complexity table.
 
-Sequence extraction (least/greatest value per complexity, least value
-per rank) and the top logarithmic complexities search the bytes or
-bytearray that holds a column, in place (``kernel.backing``).  The prime
-check, the defect-rank check and the first-operation scan are block
-passes: ``_blocks`` runs a flag pass of the compiled block kernel
+``backing`` alone resolves a table column to the bytes or bytearray
+under it, for ``find`` and the kernel.  Sequence extraction (least and
+greatest value per complexity, least value per rank) and the top
+logarithmic complexities search it from each value's least n
+(``_firsts``).  The prime check, the defect-rank check and the
+first-operation scan are block passes: ``_blocks`` resolves their
+columns once, then runs a flag pass of the compiled block kernel
 (``_kernel.c``) over the builder's blocks, ``core.blocks``, and hands
 back each call's result with the n it flagged.  The power laws and the
 2^n + 1 rule are closed forms: each hands its (n, expected) pairs to
@@ -34,7 +36,6 @@ from collections import namedtuple
 
 from .core import (
     LN3,
-    MAX_STORED,
     ComplexityTable,
     FIRST_SUM_NECESSARY,
     addend_bound,
@@ -84,25 +85,38 @@ class SequenceSet(namedtuple("SequenceSet", (
     __slots__ = ()
 
 
+def backing(column) -> bytes | bytearray:
+    """The bytes or bytearray under a table column, read in place: the
+    column itself, or the object under a memoryview of the whole of one
+    (what ``dp.build`` and ``storage.load`` return); any other buffer, a
+    sliced view for one, is copied into bytes."""
+    if isinstance(column, (bytes, bytearray)):
+        return column
+    held = column.obj if isinstance(column, memoryview) else None
+    whole = isinstance(held, (bytes, bytearray)) and column.contiguous
+    if whole and len(column) == column.nbytes == len(held):
+        return held
+    return bytes(column)
+
+
 def _firsts(col: bytes | bytearray, first: int) -> dict[int, int]:
     """The least n >= 1 holding each value first, first + 1, ... of col,
-    up to the first value that col does not hold."""
+    up to the first value that col does not hold.  A table's columns hold
+    every value up to their largest, so none is skipped.  Complexities:
+    f(1) = 1 and f(n) <= f(n-1) + 1.  Ranks: a least-height shortest
+    expression of rank r > 0 has a part of rank r - 1, for were every
+    tallest part of lower rank, least-height forms of those parts would
+    lower the height."""
     found = ((v, col.find(v, 1)) for v in range(first, 256))
     return dict(itertools.takewhile(lambda vn: vn[1] > 0, found))
 
 
 def derive_sequences(t: ComplexityTable) -> SequenceSet:
     """The derived sequences of a table, from ``find`` and ``rfind`` on the
-    bytes that hold each column; ranks come with the table's ranks.
-
-    Each column holds every value up to its largest, so the searches stop
-    at the first value missing, and every value found is reliable.
-    Complexities: f(1) = 1 and f(n) <= f(n-1) + 1.  Ranks: a least-height
-    shortest expression of rank r > 0 has a part of rank r - 1, for were
-    every tallest part of lower rank, least-height forms of those parts
-    would lower the height.
-    """
-    c = kernel.backing(t.complexity)
+    bytes that hold each column; ranks come with the table's ranks.  The
+    searches stop at the first value missing (``_firsts``), so every value
+    found is reliable."""
+    c = backing(t.complexity)
     smallest = _firsts(c, 1)
     largest: dict[int, int] = {}
     second_largest: dict[int, int] = {}  # second-greatest n with complexity <= k
@@ -114,7 +128,7 @@ def derive_sequences(t: ComplexityTable) -> SequenceSet:
             second_largest[k] = top[0]
     del c  # a sliced column's copy, one at a time
 
-    rank_firsts = _firsts(kernel.backing(t.rank), 0) if t.has_ranks else None
+    rank_firsts = _firsts(backing(t.rank), 0) if t.has_ranks else None
     reliable_largest_max = 0
     while max_expressible(reliable_largest_max + 1) <= t.limit:
         reliable_largest_max += 1
@@ -298,8 +312,11 @@ def _blocks(name: str, first: int, last: int, *args):
     """Runs the kernel's flag pass ``name`` as name(*args, lo, hi, flag) on
     each block [lo, hi) of ``blocks(first, last)``, and yields what it
     returned with the n whose byte flag[n - lo] it set to 1, ascending.
-    ``flag`` is one buffer the width of the widest block, so each block's n
-    are read before the next block runs."""
+    Each column among ``args``, a memoryview, is resolved to its
+    ``backing`` before the first block.  ``flag`` is one buffer the width
+    of the widest block, so each block's n are read before the next block
+    runs."""
+    args = [backing(a) if isinstance(a, memoryview) else a for a in args]
     flag = bytearray(max((hi - lo for lo, hi in blocks(first, last)), default=0))
     block_pass = getattr(kernel.load(), name)
     for lo, hi in blocks(first, last):
@@ -545,18 +562,19 @@ def top_log_complexity(t: ComplexityTable, count: int) -> list[TopLogEntry]:
     show whether another n lies within 1e-12 of an entry: were such an n
     not among them, the count + 1 before it of its complexity would lie
     above it, and unless one lay within 1e-12 of the entry, ``count`` of
-    them would outrank it.  This holds on any table of complexities >= 1.
+    them would outrank it.  The search runs from each complexity's least n
+    (``_firsts``), so on a damaged table missing a complexity, the higher
+    ones are not searched; ``verify`` is what checks a table.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    c = kernel.backing(t.complexity)
+    c = backing(t.complexity)
     found = []  # (-value, n)
-    for k in range(1, MAX_STORED + 1):
-        n = 1
-        for _ in range(count + 1):
-            if (n := c.find(k, n + 1)) < 0:
-                break
-            found.append((-log_complexity(n, k), n))
+    for k, n in _firsts(c, 2).items():
+        ns = [n]  # the first count + 1 n of complexity k
+        while len(ns) <= count and (n := c.find(k, n + 1)) > 0:
+            ns.append(n)
+        found += [(-log_complexity(n, k), n) for n in ns]
     found.sort()
     out = []
     for i, (neg, n) in enumerate(found[:count]):

@@ -10,8 +10,8 @@ that start together on an empty cache each finish with a whole library.
 Without a C compiler, ``load`` raises RuntimeError.
 
 ``load`` declares each function's types from its definition in the
-source, the one statement of the interface (``_prototypes``), and takes
-buffers for pointers.
+source, the one statement of the interface (``_prototypes``).  A pointer
+is bytes, a writable buffer, or an empty buffer, which passes as NULL.
 
 The modules this needs beyond the package's own (ctypes, re,
 subprocess) are imported on first use, so that importing the package or
@@ -92,22 +92,17 @@ def _prototypes(source: str, pointer) -> Iterator[tuple[str, object, list]]:
 def load():
     """The kernel library, compiled if need be, with each function's types
     declared from the source; loaded once per process.  A pointer argument
-    is bytes, a writable buffer (a bytearray, an ``array``, a writable
-    memoryview slice) or a read-only table column, passed as the address
-    of its first byte: a column is read in place when ``backing`` finds
-    the bytes or bytearray under it, and copied for the call otherwise.
-    An int address or None passes as it is."""
+    is bytes or a writable buffer (a bytearray, an ``array``, a writable
+    memoryview slice), passed as the address of its first byte, or an
+    empty buffer, passed as NULL.  Anything else, such as an int address
+    or a read-only view, raises ``ctypes.ArgumentError``."""
     import ctypes
 
     class Buffer:
         # a ctypes object, not a bare int, which ctypes would pass as a C
-        # int; it keeps the buffer, or a column's copy, alive for the call
+        # int; it keeps the buffer alive for the call
         @staticmethod
         def from_param(obj):
-            if obj is None or isinstance(obj, int):
-                return ctypes.c_void_p(obj)
-            if isinstance(obj, memoryview) and obj.readonly:
-                obj = backing(obj)
             if isinstance(obj, bytes):
                 return ctypes.c_char_p(obj)
             # from_buffer refuses an empty buffer, which has no first byte
@@ -120,17 +115,3 @@ def load():
             fn.restype, fn.argtypes = restype, argtypes
     return lib
 
-
-def backing(column) -> bytes | bytearray:
-    """The bytes or bytearray that holds a table column, for ``find`` and
-    the kernel to read in place: the column if it is one, or the object
-    under a memoryview of the whole of one, such as the read-only views
-    that ``dp.build`` and ``storage.load`` return.  Any other buffer, a
-    sliced view for one, is copied into bytes."""
-    if isinstance(column, (bytes, bytearray)):
-        return column
-    held = column.obj if isinstance(column, memoryview) else None
-    whole = isinstance(held, (bytes, bytearray)) and column.contiguous
-    if whole and len(column) == column.nbytes == len(held):
-        return held
-    return bytes(column)

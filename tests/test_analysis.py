@@ -412,6 +412,22 @@ def test_top_log_16(sieve_50k):
         assert entry.unique
 
 
+class _Finds(bytes):
+    """A column that records the value of each ``find``."""
+
+    def find(self, value, *args):
+        self.values.append(value)
+        return super().find(value, *args)
+
+
+def test_top_log_searches_up_to_the_first_missing_complexity(sieve_50k):
+    column = _Finds(sieve_50k.complexity)
+    column.values = []
+    t = ComplexityTable(limit=sieve_50k.limit, complexity=column, rank=sieve_50k.rank)
+    assert an.top_log_complexity(t, 16) == an.top_log_complexity(sieve_50k, 16)
+    assert column.values and max(column.values) <= max(column) + 1
+
+
 def test_top_log_ordering(sieve_50k):
     entries = an.top_log_complexity(sieve_50k, 50)
     vals = [e.log_complexity for e in entries]

@@ -1,7 +1,7 @@
 """The compiled block kernel against the numpy reference builder, the
-buffers it takes and the table columns it reads in place, and its
-loader: the prototypes read from the source, the cache, a missing
-compiler, and builds that compile at once."""
+buffers it takes and refuses, the table columns the analyses hand it in
+place, and its loader: the prototypes read from the source, the cache, a
+missing compiler, and builds that compile at once."""
 
 import ctypes
 import os
@@ -55,7 +55,7 @@ def test_product_minima_of_any_values():
     minima = kernel.load().ic_products
     for lo, hi in ((2, 3), (2, 4000), (17, 4999), (1000, 1001), (2500, 5000)):
         got = np.empty(hi - lo, dtype=np.uint8)
-        minima(c.ctypes.data, lo, hi, got.ctypes.data)
+        minima(c, lo, hi, got)
         want = reference_builder.product_minima(c, lo, hi, np.empty(hi - lo, dtype=np.uint8))
         assert np.array_equal(got, want), (lo, hi)
 
@@ -88,12 +88,9 @@ def test_pointer_arguments_take_any_buffer():
     b = rng.integers(0, 256, size=3001, dtype=np.uint8).tobytes()
     operand = b[1:]
     want = bytes(np.minimum(np.frombuffer(a, np.uint8), np.frombuffer(operand, np.uint8)))
-    held = np.frombuffer(operand, np.uint8).copy()  # alive while its address is used
     minimum = kernel.load().ic_minimum
     forms = (operand, bytearray(operand), memoryview(bytearray(b))[1:],
-             memoryview(bytearray(operand)).toreadonly(),  # a whole column, read in place
-             memoryview(b)[1:],  # a sliced read-only column, copied for the call
-             held.ctypes.data)
+             np.frombuffer(operand, np.uint8).copy())
     for form in forms:
         out = bytearray(a)
         minimum(out, form, len(a))
@@ -104,7 +101,21 @@ def test_pointer_arguments_take_any_buffer():
     assert out == b"\xff" + want
     # an empty bytearray has no byte to point at, and passes as NULL
     assert minimum.argtypes[0].from_param(bytearray()).value is None
-    minimum(bytearray(), None, 0)
+    minimum(bytearray(), bytearray(), 0)
+
+
+def test_read_only_views_and_addresses_are_refused():
+    # a read-only view is neither bytes nor writable, and an int is no
+    # buffer: the analyses resolve a column to its backing before the kernel
+    minimum = kernel.load().ic_minimum
+    operand = bytes(range(100))
+    held = np.frombuffer(operand, np.uint8).copy()
+    for form in (memoryview(operand), memoryview(operand)[1:],
+                 memoryview(bytearray(operand)).toreadonly(), held.ctypes.data, None):
+        out = bytearray(99)
+        with pytest.raises(ctypes.ArgumentError):
+            minimum(out, form, 99)
+        assert out == bytearray(99)
 
 
 def test_table_columns_are_read_in_place(tmp_path):
@@ -127,19 +138,47 @@ def test_table_columns_are_read_in_place(tmp_path):
 
     raw = bytes(t.complexity)
     for column in (t.complexity, t.rank, loaded.complexity, loaded.rank, raw):
-        held = kernel.backing(column)
+        held = analysis.backing(column)
         assert held is (column if column is raw else column.obj)
-        flag, peak = block_pass(column)
+        flag, peak = block_pass(held)
         assert flag == block_pass(bytes(column))[0] and peak < 10_000
-    # any other buffer is copied: the analyses read a sliced column alike
-    sliced = ComplexityTable(limit=500, complexity=t.complexity[:501], rank=t.rank[:501])
-    assert type(kernel.backing(sliced.complexity)) is bytes
-    assert kernel.backing(sliced.complexity) == t.complexity[:501]
-    assert block_pass(t.complexity[:60_000])[1] >= 60_000
-    whole = build(500, ranks=True)
-    for check in (analysis.check_prime_plus1, analysis.check_defect_rank,
-                  analysis.derive_sequences, analysis.first_operation_scan):
-        assert check(sliced) == check(whole)
+    # any other buffer is copied
+    assert type(analysis.backing(t.complexity[:501])) is bytes
+    assert analysis.backing(t.complexity[:501]) == t.complexity[:501]
+
+
+def test_sliced_columns_are_resolved_once_per_pass(monkeypatch):
+    # a table over sliced columns: each pass copies each column once, before
+    # its first block, and hands the kernel that copy in every block
+    t = build(60_000, ranks=True)
+    sliced = ComplexityTable(limit=60_000, complexity=t.complexity[:60_001],
+                             rank=t.rank[:60_001])
+    lib = kernel.load()
+    calls = []  # the arguments of each kernel call
+    resolved = []  # the columns handed to backing
+
+    class Recorder:
+        def __getattr__(self, name):
+            fn = getattr(lib, name)
+            return lambda *args: calls.append(args) or fn(*args)
+
+    real_backing = analysis.backing
+    passes = ((analysis.check_prime_plus1, 1), (analysis.check_defect_rank, 2),
+              (analysis.first_operation_scan, 1))
+    for check, columns in passes:
+        want = check(t)
+        calls.clear()
+        resolved.clear()
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "load", Recorder)
+            m.setattr(analysis, "backing",
+                      lambda column: resolved.append(column) or real_backing(column))
+            assert check(sliced) == want
+        assert len(resolved) == columns and len(calls) > 1
+        assert not any(isinstance(a, memoryview) for args in calls for a in args)
+        for i in range(columns):  # the column's one copy, in every block
+            assert len({id(args[i]) for args in calls}) == 1
+    assert analysis.derive_sequences(sliced) == analysis.derive_sequences(t)
 
 
 def _cli_build(cache, out, path=None, limit=20_000):

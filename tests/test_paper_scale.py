@@ -2,7 +2,7 @@
 unranked table to 10^9 and its chains.
 
 Opt in with INTCOMPLEXITY_PAPER_SCALE=1: on a 2-core machine the module
-takes about 100 s at about 1.4 GB peak RSS, so tier-1 skips it.
+takes about 70 s at about 1.4 GB peak RSS, so tier-1 skips it.
 
 The first test (about 40 s, 1.4 GB) builds the ranked table through the
 CLI, about 20 s, and runs ``scripts/run_desk_scale.py`` on it, about 20
@@ -33,7 +33,7 @@ from intcomplexity.cli import main
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("INTCOMPLEXITY_PAPER_SCALE") != "1",
-    reason="paper scale (about 100 s, 1.4 GB); set INTCOMPLEXITY_PAPER_SCALE=1",
+    reason="paper scale (about 70 s, 1.4 GB); set INTCOMPLEXITY_PAPER_SCALE=1",
 )
 
 LIMIT = LEAST_BY_RANK[19]

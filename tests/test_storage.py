@@ -1,5 +1,6 @@
 import hashlib
 import os
+import runpy
 import stat
 import tracemalloc
 import zlib
@@ -47,6 +48,35 @@ def test_file_bytes_are_pinned(tmp_path, argv, sha1):
     path = tmp_path / "t.icx"
     assert main(["build", *argv, "--out", str(path)]) == 0
     assert hashlib.sha1(path.read_bytes()).hexdigest() == sha1
+
+
+# the SHA-1 of each file the desk script writes at limit 150,000
+DESK_FILES = {
+    "table-150000.icx": "7bc151b768c7a689fab90d65add573910631e3a5",
+    "sequences.csv": "63c2d4c04791433a2b58df0dec09987a88d874b1",
+    "sequences.json": "0d89aeba46209b5d5078c4373b3a212b9b05e17c",
+    "verify.json": "09eddd6ef1d71e641394f46eb18aed668c2c8e02",
+    "collapse.csv": "f553356a50b6734eaf99ead262aace948f5697d8",
+    "collapse.json": "17cff7da4e16dce1be5774b906d1320c21d624cd",
+    "chains.csv": "207da79f30c0c62a24879559f2d77aced534fb13",
+    "chains.json": "727bca586eae6e5fbef259c011068b68afd53373",
+    "firstop.csv": "666cbdd0c613fcd3858a9ab8481c054c4e5d1124",
+    "firstop.json": "cd0d4cc32346750408f7d4f5e78ec9a6e5b79a0d",
+    "fit-e.csv": "e1ad4a1115e6e485c9a6f963a3abef18e6a0e2bb",
+    "fit-e.json": "781f1afb40816fcb7ca4c2b0d7cd9d3621bfff8e",
+    "top-log.csv": "0a01aff680a7d5e92adef23c7120f9afb5ad8b37",
+    "top-log.json": "62c46376d040f581daa2e27e8c44a094ddc6e03b",
+}
+
+
+def test_desk_files_are_pinned(tmp_path, capsys):
+    # the exact bytes of every report, from a table the run builds: a change
+    # to an analysis or to the output format shows here
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_scale.py"
+    assert runpy.run_path(str(script))["run"](150_000, str(tmp_path)) == 0
+    assert capsys.readouterr().out.startswith("built ranked table")
+    assert {p.name: hashlib.sha1(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == DESK_FILES
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
