@@ -20,9 +20,9 @@ exact text printed for a format, and the exit code.
 one loaded table and ``render`` once per format, so its files are what
 the subcommands print.
 
-Subcommands import the modules they analyse with (``analysis``,
-``enumerator``, ``expr``) on first use, so ``build`` loads only the
-builder and the table format.
+``report`` imports ``analysis`` and hands it to the table reports' rows
+functions, and ``oracle`` and ``expr`` import ``enumerator`` and ``expr``
+where they run, so ``build`` and ``oracle`` load no analysis.
 """
 
 from __future__ import annotations
@@ -36,13 +36,9 @@ from . import reporting, storage
 from .dp import build
 from .reporting import emit_report, emit_rows, fmt_real
 
-TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:
-    from . import analysis
-
 # Old names of build, kept only because the benchmark's tracer spans them:
 # cli.build_sieve and sieve.build_sieve (ranked builds) and cli.build_dp
-# (the others).  All three are deleted with ROADMAP item 1.
+# (the others).  All three are deleted with ROADMAP item 2.
 build_sieve = build_dp = build
 
 # failures reported as "error: ..." with exit code 2
@@ -83,11 +79,9 @@ def _record_rows(cls, recs):
     return list(cls._fields), [list(r) for r in recs]
 
 
-def query_rows(table, args):
+def query_rows(analysis, table, args):
     """n's complexity, and its rank from the complexities, checked against
     the rank column of a ranked table."""
-    from . import analysis
-
     n = args.n
     c = table.value(n)  # range check before any rank reconstruction
     r = analysis.Reconstructor(table).min_height(n)
@@ -97,7 +91,7 @@ def query_rows(table, args):
     return ["n", "complexity", "rank"], [[n, c, r]]
 
 
-def seq_rows(seq: analysis.SequenceSet, args):
+def seq_rows(analysis, seq, args):
     headers = ["sequence", "k", "value", "reliable", "limit"]
     rows: list[list] = []
     every = float("inf")  # every least value is reliable
@@ -126,26 +120,20 @@ _VERIFY = {
 }
 
 
-def verify_reports(table, args) -> list[reporting.Report]:
+def verify_reports(analysis, table, args) -> list[reporting.Report]:
     """The reports of one kind, or of all of them; a table without ranks
     leaves out defect-rank from all."""
-    from . import analysis
-
     kinds = [args.kind]
     if args.kind == "all":
         kinds = [k for k in _VERIFY if table.has_ranks or k != "defect-rank"]
     return [getattr(analysis, name)(table, *extra) for name, extra in map(_VERIFY.get, kinds)]
 
 
-def collapse_rows(table, args):
-    from . import analysis
-
+def collapse_rows(analysis, table, args):
     return _record_rows(analysis.CollapseRecord, analysis.collapse_scan(table, args.primes_below))
 
 
-def chains_rows(seq: analysis.SequenceSet, args):
-    from . import analysis
-
+def chains_rows(analysis, seq, args):
     recs = analysis.chain_scan(seq)
     headers = ["k", "end", "end_is_prime", "chain", "length",
                "half_prime", "third_prime", "quarter_prime"]
@@ -154,15 +142,11 @@ def chains_rows(seq: analysis.SequenceSet, args):
     return headers, rows
 
 
-def firstop_rows(table, args):
-    from . import analysis
-
+def firstop_rows(analysis, table, args):
     return _record_rows(analysis.FirstOpRecord, analysis.first_operation_scan(table))
 
 
-def fit_e_rows(seq: analysis.SequenceSet, args):
-    from . import analysis
-
+def fit_e_rows(analysis, seq, args):
     fit = analysis.fit_e_asymptote(seq)
     headers = ["k", "log3_value", "fitted", "residual", "slope", "intercept"]
     rows = [[k, fit.residuals[k] + fit.slope * k + fit.intercept,
@@ -171,14 +155,11 @@ def fit_e_rows(seq: analysis.SequenceSet, args):
     return headers, rows
 
 
-def top_log_rows(table, args):
-    from . import analysis
-
+def top_log_rows(analysis, table, args):
     return _record_rows(analysis.TopLogEntry, analysis.top_log_complexity(table, args.count))
 
 
-def expr_rows(table, args):
-    from . import analysis
+def expr_rows(analysis, table, args):
     from .expr import infix, postfix_emit
 
     tree = analysis.reconstruct(table, args.n)
@@ -186,16 +167,16 @@ def expr_rows(table, args):
             [[args.n, tree.ones, tree.height, infix(tree), postfix_emit(tree)]])
 
 
-def report(table, args, seq: analysis.SequenceSet | None = None):
+def report(table, args, seq=None):
     """Headers and rows of a table-reading subcommand (for verify, its
     reports); ``seq`` is derived from the table if the subcommand reads
-    one and none is passed."""
+    one and none is passed.  Every rows function takes ``analysis`` first."""
+    from . import analysis
+
     sub = _SUBCOMMANDS[args.command]
     if sub.reads_seq:
-        from . import analysis
-
-        return sub.rows(seq or analysis.derive_sequences(table), args)
-    return sub.rows(table, args)
+        return sub.rows(analysis, seq or analysis.derive_sequences(table), args)
+    return sub.rows(analysis, table, args)
 
 
 def _chains_text(table, rows):
@@ -241,7 +222,7 @@ _FORMAT = ("--format", {"choices": reporting.FORMATS, "default": "text"})
 _SUBCOMMANDS = {
     "build": _Subcommand("build and persist a complexity table", [
         # ignored, since one builder makes every table; accepted because the
-        # benchmark still passes --algo dp, until ROADMAP item 1
+        # benchmark still passes --algo dp, until ROADMAP item 2
         ("--algo", {"choices": ("sieve", "dp"), "help": argparse.SUPPRESS}),
         ("--limit", {"type": int, "required": True}), ("--ranks", {"action": "store_true"}),
         ("--out", {"required": True}), ("--checkpoint-every", {"type": int, "default": 0}),

@@ -157,6 +157,8 @@ def build(
         raise ValueError("checkpointing requires an output path")
     if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise FileNotFoundError(f"no directory to write {out} in")
+    if out and os.path.isdir(out):
+        raise IsADirectoryError(f"{out} is a directory, not a table file")
     lib = kernel.load()
     prefix = storage.load(resume).complexity[: limit + 1] if resume else b"\x00\x01"
     f = bytearray(limit + 1)

@@ -45,10 +45,9 @@ def default_ones_cap(n: int) -> int:
 
 class _Engine:
     def __init__(self, limit: int):
-        self.limit = limit
-        cap = default_ones_cap(limit) + 1
-        self._cap = cap
-        self._E = [0] + [max_expressible(k) for k in range(1, cap + 2)]
+        # sized by the ones that suffice for every value up to the limit,
+        # whatever cap a run is given
+        self._E = [0] + [max_expressible(k) for k in range(1, default_ones_cap(limit) + 3)]
         # value -> ones of its shortest expressions
         self.ones: dict[int, int] = {1: 1}
         # min height of an optimal non-sum-rooted (One/product) form: sum parts
@@ -58,7 +57,6 @@ class _Engine:
         # per ones count, sorted values usable as sum parts
         self.sum_pool: dict[int, list[int]] = {1: [1]}
         self.missing: list[int] = list(range(2, limit + 1))
-        self._k = 1
         self._div_cache: dict[int, list[int]] = {}
 
     # -- decomposition generators -------------------------------------
@@ -161,21 +159,16 @@ class _Engine:
             self.sum_pool[k] = spool
         self.missing = leftover
 
-    def run(self, stop_value: int | None = None, ones_cap: int | None = None) -> None:
-        cap = self._cap if ones_cap is None else ones_cap
-        k = self._k
-        while self.missing:
-            if stop_value is not None and stop_value in self.ones:
-                return
+    def run(self, cap: int, stop_value: int | None = None) -> None:
+        """Settle the values of k = 2..cap ones, until stop_value (without
+        one, every value up to the limit) has its complexity."""
+        k = 1
+        while self.missing and stop_value not in self.ones:
             k += 1
             if k > cap:
-                if stop_value is not None:
-                    raise CapExceededError(
-                        f"no expression for {stop_value} within {cap} ones"
-                    )
-                raise RuntimeError("ones budget exhausted before table completed")
+                # the largest missing value: stop_value itself when there is one
+                raise CapExceededError(f"no expression for {self.missing[-1]} within {cap} ones")
             self._step(k)
-            self._k = k
 
     def min_height(self, v: int) -> int:
         hs = [h for h in (self.non_sum_h.get(v), self.non_prod_h.get(v)) if h is not None]
@@ -213,7 +206,7 @@ def oracle_complexity(n: int, ones_cap: int | None = None) -> OracleResult:
         raise ValueError(f"oracle_complexity requires n >= 1, got {n}")
     cap = default_ones_cap(n) if ones_cap is None else ones_cap
     eng = _Engine(n)
-    eng.run(stop_value=n, ones_cap=cap)
+    eng.run(cap, stop_value=n)
     trees = eng.all_shortest_trees(n)
     heights = [t.height for t in trees]
     res = OracleResult(n=n, complexity=eng.ones[n], shortest=trees, min_height=min(heights))
@@ -231,12 +224,7 @@ def oracle_table(limit: int) -> ComplexityTable:
     if limit < 1:
         raise ValueError(f"oracle_table requires limit >= 1, got {limit}")
     eng = _Engine(limit)
-    eng.run()
-    comp = bytearray(limit + 1)
-    rank = bytearray(limit + 1)
-    comp[1] = 1
-    rank[1] = 0
-    for v in range(2, limit + 1):
-        comp[v] = eng.ones[v]
-        rank[v] = eng.min_height(v)
-    return ComplexityTable(limit=limit, complexity=bytes(comp), rank=bytes(rank))
+    eng.run(default_ones_cap(limit))
+    values = range(1, limit + 1)
+    return ComplexityTable(limit=limit, complexity=bytes([0, *map(eng.ones.get, values)]),
+                           rank=bytes([0, *map(eng.min_height, values)]))

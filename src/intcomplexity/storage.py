@@ -76,17 +76,17 @@ def _atomic_write(path: str, limit: int, flags: int, *columns) -> None:
     tmp = os.path.join(directory, f".icx-{os.getpid()}-{os.urandom(4).hex()}")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                for chunk in (head, *payload, _U64.pack(_checksum(head, *payload))):
+                    fh.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
     except OSError as exc:  # named by the table's path, not the temporary file's
         raise OSError(exc.errno, exc.strerror, path) from exc
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in (head, *payload, _U64.pack(_checksum(head, *payload))):
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def save(table: ComplexityTable, path: str) -> None:

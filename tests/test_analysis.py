@@ -112,7 +112,7 @@ def test_reconstruct_at_default_recursion_limit(desk_table):
     sys.setrecursionlimit(1000)
     try:
         for n in range(desk_table.limit - 4, desk_table.limit + 1):
-            _, rows = cli.expr_rows(desk_table, argparse.Namespace(n=n))
+            _, rows = cli.expr_rows(an, desk_table, argparse.Namespace(n=n))
             _, ones, height, infix_text, postfix_text = rows[0]
             assert ones == desk_table.value(n) and height == desk_table.rank_of(n)
             assert infix_text and postfix_text

@@ -72,6 +72,21 @@ def test_build_loads_only_the_builder(tmp_path):
     assert not _START_UP & loaded
 
 
+# a fresh interpreter runs the oracle, then prints the modules it loaded
+_ORACLE_ONLY = """
+import json, sys
+from intcomplexity import cli
+assert cli.main(["oracle", "10"]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_oracle_loads_no_analysis():
+    _, loaded = child_modules(_ORACLE_ONLY)
+    assert "intcomplexity.enumerator" in loaded
+    assert not {"intcomplexity.analysis", "numpy"} & loaded
+
+
 # a fresh interpreter imports the package and loads a table, as the
 # benchmark's harness does, then prints the modules it loaded
 _LOAD_ONLY = """
@@ -276,13 +291,16 @@ def test_negative_checkpoint_interval_is_refused(tmp_path):
 
 
 def test_missing_output_directory_is_named(tmp_path, capsys):
-    path = str(tmp_path / "missing" / "x.icx")
-    assert main(["build", "--limit", "100", "--out", path]) == 2
-    assert path in capsys.readouterr().err
-    # a write that fails names the table's path, not the temporary file's
     t = build(100)
-    with pytest.raises(FileNotFoundError, match=re.escape(path)):
-        storage.save(t, path)
+    # a path in no directory, and a path that is a directory
+    for path in (str(tmp_path / "missing" / "x.icx"), str(tmp_path)):
+        assert main(["build", "--limit", "100", "--out", path]) == 2
+        err = capsys.readouterr().err
+        assert path in err and ".icx-" not in err
+        # a write that fails names the table's path, not the temporary file's
+        with pytest.raises(OSError) as info:
+            storage.save(t, path)
+        assert (info.value.filename, info.value.filename2) == (path, None)
 
 
 def test_benchmark_commands_run_clean_as_children(tmp_path):

@@ -174,10 +174,11 @@ def test_missing_output_directory_is_refused_before_building(tmp_path, monkeypat
         raise AssertionError("the build started")
 
     monkeypatch.setattr(dp.kernel, "load", no_kernel)
-    path = str(tmp_path / "missing" / "t.icx")
-    for kwargs in ({}, {"checkpoint_every": 10}):
-        with pytest.raises(FileNotFoundError, match=re.escape(path)):
-            build(100, out=path, **kwargs)
+    # a path in no directory, and a path that is a directory
+    for path in (str(tmp_path / "missing" / "t.icx"), str(tmp_path)):
+        for kwargs in ({}, {"checkpoint_every": 10}):
+            with pytest.raises(OSError, match=re.escape(path)):
+                build(100, out=path, **kwargs)
 
 
 def test_resume_from_smaller_table(tmp_path):

@@ -66,9 +66,11 @@ def test_cap_exceeded():
 
 
 def test_default_cap_suffices():
+    # a cap far above the default stops at n's complexity too
     for n in (1, 2, 47, 100):
-        res = oracle_complexity(n, ones_cap=default_ones_cap(n))
-        assert res.complexity <= default_ones_cap(n)
+        for cap in (default_ones_cap(n), 10**6):
+            res = oracle_complexity(n, ones_cap=cap)
+            assert res.complexity <= default_ones_cap(n)
 
 
 def test_domain_error():

@@ -79,6 +79,70 @@ def test_desk_files_are_pinned(tmp_path, capsys):
             for p in tmp_path.iterdir()} == DESK_FILES
 
 
+# the SHA-1 of what each single-n command prints: query and expr on a ranked
+# table of limit 5,000 in text, csv and json; oracle in text, text --all,
+# json and json --all
+SINGLE_N = {
+    ("query", 1): ("6b396887231407807dc65629dd8f41a6b0d3e761",
+                   "9058125cce54d78eb203adc65d98133d63bb700a",
+                   "bcbb562c31e2af793ac91486892cac1ee4197750"),
+    ("query", 2): ("f65c75cb3638889d6405881b895b8a37a1867aed",
+                   "5c210e4eb58bf6a0714f4a8faa4a9c12798093ac",
+                   "c6538fd1850e755c976ddeca1e02982980e12a7c"),
+    ("query", 7): ("68d717ebd5a55bc823164f60a80d2589c8684fa4",
+                   "cfa61529ed2436203cfc623dfcc97cb74778d850",
+                   "8529d913c5770e168d7597561e46000ea8ec79ca"),
+    ("query", 4283): ("89a9ef71e6eabaf002b650320c9cc5e257503489",
+                      "a47534b70e317bb9683458e0977f8ba7f91958f0",
+                      "2d7a077505ccc69e6c008b15c6b8f4cbbf52212b"),
+    ("expr", 1): ("eb102f2c54e32ed28bef95f1ace0ae6f90fa9a4e",
+                  "c0871d3fa4cd73979ebd7d96fef91bd2739be414",
+                  "685009df22bc89cea1b94becea5ee5690b4b3566"),
+    ("expr", 2): ("88cf93a0b638b77d1d97b60f261d22535a14ca46",
+                  "5a73a8c4111d0a82a05f3656b38c79a118784ef8",
+                  "9cdad3a7e5e5b89172851fc0a683222b4a70ed4c"),
+    ("expr", 7): ("fec4610d6df0525dd710d55dfb01b4c2c9b5d27c",
+                  "15fac77a93ea833d8bce98eb6885575fdd696035",
+                  "5f76ce35aa9a0519d695c7893f2f3d42d62ac8f6"),
+    ("expr", 4283): ("726e9d1e11d418a83dd6cef7d8f52bbfcca9cd67",
+                     "3fc7bfd1b52dd2c8b542a023130e521548713bfe",
+                     "18be85034038335433f4d6b9acfbdb54cb8105b2"),
+    ("oracle", 1): ("d5b86403352143cf3a3e2a8cae9cfe54874439b7",
+                    "d5b86403352143cf3a3e2a8cae9cfe54874439b7",
+                    "e78d08daeb6ef3093120cec6f96a5d14af107d12",
+                    "e78d08daeb6ef3093120cec6f96a5d14af107d12"),
+    ("oracle", 8): ("5e1fa2babd52ea109021447840b4bfa2ad2cd918",
+                    "5254e2333196ed32e809e2cc1e832285d867fbe7",
+                    "4a5a637690861aa61df7318d627331c83194f34b",
+                    "e910b48e02bf0791a7c43de4bc275fc2fbadd6c6"),
+    ("oracle", 24): ("23785b85b97fb0d7f350507f66a85690fa4487b2",
+                     "35f2f2e19945f265c5067cbfa93478c3256c4e64",
+                     "ff345b0653a18a0f479aeb560b2d863f5e7e870f",
+                     "9df78475b1ff3763056df330afb062b8903d038d"),
+    ("oracle", 100): ("c74334fbe10bc3ac23c4b675ee0c017a1dd682a0",
+                      "cc18b287e842fdbc51296c2b5ee5221279489ff3",
+                      "74ad5bc81be75091a95cfe79057739924013cebf",
+                      "800ca21850dfd8d330327ed4acff892c5fe5ef7b"),
+}
+
+
+def test_single_n_outputs_are_pinned(tmp_path, capsys):
+    # the desk files hold no single-n command's output
+    path = str(tmp_path / "t.icx")
+    assert main(["build", "--ranks", "--limit", "5000", "--out", path]) == 0
+    capsys.readouterr()
+    variants = {"query": [["--table", path, "--format", f] for f in ("text", "csv", "json")],
+                "oracle": [["--format", f, *a] for f in ("text", "json") for a in ([], ["--all"])]}
+    variants["expr"] = variants["query"]
+
+    def digest(argv):
+        assert main(argv) == 0
+        return hashlib.sha1(capsys.readouterr().out.encode()).hexdigest()
+
+    assert {(command, n): tuple(digest([command, str(n), *extra]) for extra in variants[command])
+            for command, n in SINGLE_N} == SINGLE_N
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
 def test_files_follow_the_umask(table, tmp_path, umask):
     old = os.umask(umask)
