@@ -1,6 +1,6 @@
 """Everything derived from a finished complexity table.
 
-``backing`` alone resolves a table column to the bytes or bytearray
+``core.backing`` alone resolves a table column to the bytes or bytearray
 under it, for ``find`` and the kernel.  Sequence extraction (least and
 greatest value per complexity, least value per rank) and the top
 logarithmic complexities search it from each value's least n
@@ -39,6 +39,7 @@ from .core import (
     ComplexityTable,
     FIRST_SUM_NECESSARY,
     addend_bound,
+    backing,
     blocks,
     defect,
     log_complexity,
@@ -83,20 +84,6 @@ class SequenceSet(namedtuple("SequenceSet", (
     """
 
     __slots__ = ()
-
-
-def backing(column) -> bytes | bytearray:
-    """The bytes or bytearray under a table column, read in place: the
-    column itself, or the object under a memoryview of the whole of one
-    (what ``dp.build`` and ``storage.load`` return); any other buffer, a
-    sliced view for one, is copied into bytes."""
-    if isinstance(column, (bytes, bytearray)):
-        return column
-    held = column.obj if isinstance(column, memoryview) else None
-    whole = isinstance(held, (bytes, bytearray)) and column.contiguous
-    if whole and len(column) == column.nbytes == len(held):
-        return held
-    return bytes(column)
 
 
 def _firsts(col: bytes | bytearray, first: int) -> dict[int, int]:
@@ -254,12 +241,11 @@ class Reconstructor:
 
 def reconstruct(t: ComplexityTable, n: int) -> ExprTree:
     """A shortest canonical expression for n of least height (the rank of n)."""
-    if not 1 <= n <= t.limit:
-        raise ValueError(f"n = {n} outside table range [1, {t.limit}]")
+    ones = t.value(n)  # refuses an n outside the table
     tree = Reconstructor(t).tree_min_height(n)
-    if tree.ones != t.value(n):
+    if tree.ones != ones:
         raise ValueError(f"the expression rebuilt for {n} has {tree.ones} ones, not the"
-                         f" table's {t.value(n)}: table corrupt")
+                         f" table's {ones}: table corrupt")
     return tree
 
 

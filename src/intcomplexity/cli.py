@@ -225,7 +225,9 @@ _SUBCOMMANDS = {
         # benchmark still passes --algo dp, until ROADMAP item 2
         ("--algo", {"choices": ("sieve", "dp"), "help": argparse.SUPPRESS}),
         ("--limit", {"type": int, "required": True}), ("--ranks", {"action": "store_true"}),
-        ("--out", {"required": True}), ("--checkpoint-every", {"type": int, "default": 0}),
+        ("--out", {"required": True}), ("--checkpoint-every", {"type": int, "default": 0, "help": (
+            "every K entries, save the finished prefix; each save rewrites it whole, so about"
+            " limit^2/(2K) bytes are written in all (ROADMAP item 9 would append)")}),
         ("--resume", {"metavar": "PATH", "help": "continue a smaller table, such as a checkpoint"})],
         _cmd_build),
     "query": _Subcommand("complexity and rank of one value", [_N, _TABLE, _FORMAT],

@@ -7,6 +7,9 @@ the 3*log3 lower bound, the largest-value-per-ones sequence (A000792),
 the integer logarithm (A001414), logarithmic complexity, defect, the
 smallest-addend bound used by the builders, and ``blocks``, the one
 block geometry, which the builder and the analyses' block passes walk.
+``MAX_STORED`` is the one ceiling on a table's values and a build's
+limit, and ``backing`` the one reader of a column's bytes, for
+``check_stored`` and ``analysis``.
 """
 
 from __future__ import annotations
@@ -16,11 +19,8 @@ from collections.abc import Iterator
 
 LN3 = math.log(3.0)
 
-# widest value the one-byte table layout can hold
-MAX_COMPLEXITY = 255
-
 # largest value a table may hold, so that two of them sum inside a uint8
-# as the builder and the scans add them
+# as the builder and the scans add them; 3*log2(limit) must not exceed it
 MAX_STORED = 127
 
 # smallest number whose shortest expressions all require a first
@@ -32,8 +32,8 @@ def lower_bound(n: int) -> int:
     """Ceiling of 3*log3(n), decided by exact power-of-three comparison.
 
     Floating logs round the wrong way at powers of three, which would
-    break the exactness of the bound there, so the final choice compares
-    3**c against n**3 in integer arithmetic.
+    break the exactness of the bound there, so c counts up from below the
+    answer until 3**c >= n**3, compared in integer arithmetic.
     """
     if n < 2:
         raise ValueError(f"lower_bound requires n >= 2, got {n}")
@@ -41,8 +41,6 @@ def lower_bound(n: int) -> int:
     c = max(1, math.ceil(3.0 * math.log(n) / LN3) - 2)
     while 3**c < cube:
         c += 1
-    while c > 1 and 3 ** (c - 1) >= cube:
-        c -= 1
     return c
 
 
@@ -73,14 +71,10 @@ def max_expressible(k: int) -> int:
 
 def second_max_expressible(k: int) -> int:
     """Second-largest integer of complexity at most k; equals 8/9 of the
-    largest for every k >= 8, and the division is exact there."""
+    largest for every k >= 8, exactly, as E(k) has a factor 9 there."""
     if k < 8:
         raise ValueError(f"second_max_expressible requires k >= 8, got {k}")
-    top = 8 * max_expressible(k)
-    q, rem = divmod(top, 9)
-    if rem:  # impossible for k >= 8; guards the closed form
-        raise ArithmeticError(f"8*E({k}) not divisible by 9")
-    return q
+    return 8 * max_expressible(k) // 9
 
 
 def integer_logarithm(n: int) -> int:
@@ -150,19 +144,30 @@ def blocks(lo: int, last: int, cut: int = 0) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
+def backing(column) -> bytes | bytearray:
+    """The bytes or bytearray under a table column, read in place: the
+    column itself, or the object under a memoryview of the whole of one
+    (what ``dp.build`` and ``storage.load`` return); any other buffer, a
+    sliced view for one, is copied into bytes."""
+    if isinstance(column, (bytes, bytearray)):
+        return column
+    held = column.obj if isinstance(column, memoryview) else None
+    whole = isinstance(held, (bytes, bytearray)) and column.contiguous
+    if whole and len(column) == column.nbytes == len(held):
+        return held
+    return bytes(column)
+
+
 def check_stored(complexity) -> None:
     """Refuse a complexity column (any buffer) holding a value above MAX_STORED.
 
     MAX_STORED = 127 is exactly the ASCII range, so a column passes when
-    its bytes are ASCII.  It is tested in 16 KB chunks, so the copies stay
-    small beside any column (``storage.load`` holds one copy of a file).
+    its bytes, read in place through ``backing``, are ASCII.
     """
-    view = memoryview(complexity)
-    chunk = 1 << 14
-    for i in range(0, len(view), chunk):
-        if not view[i : i + chunk].tobytes().isascii():
-            top = max(max(view[k : k + chunk].tobytes()) for k in range(i, len(view), chunk))
-            raise ValueError(f"complexity value {top} above {MAX_STORED}: sums of two would wrap")
+    col = backing(complexity)
+    if not col.isascii():
+        top = max(col.translate(None, bytes(range(MAX_STORED + 1))))
+        raise ValueError(f"complexity value {top} above {MAX_STORED}: sums of two would wrap")
 
 
 def mersenne_upper_bound(n: int) -> int:

@@ -16,9 +16,11 @@ import math
 
 import numpy as np
 
-from intcomplexity.core import MAX_COMPLEXITY, addend_bound, blocks, max_expressible
+from intcomplexity.core import addend_bound, blocks, max_expressible
 
 _NONE = 127
+# the product estimate of an n with no split: the kernel's empty byte
+_NO_PRODUCT = 255
 
 
 def product_slices(lo: int, hi: int):
@@ -35,9 +37,9 @@ def product_slices(lo: int, hi: int):
 
 def product_minima(c: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     """Least c[d] + c[n/d] over the product splits of each n in [lo, hi),
-    into the uint8 array ``out`` of length hi - lo, and MAX_COMPLEXITY
+    into the uint8 array ``out`` of length hi - lo, and _NO_PRODUCT
     where n has none."""
-    out[:] = MAX_COMPLEXITY
+    out[:] = _NO_PRODUCT
     for d, tgt, cof in product_slices(lo, hi):
         np.minimum(out[tgt], c[cof] + c[d], out=out[tgt])
     return out

@@ -287,6 +287,21 @@ def _perturbed(t, seed=0, count=200):
     return ComplexityTable(limit=t.limit, complexity=bytes(comp))
 
 
+def _forced_sums(t, addends=(6, 8, 9)):
+    """Raise one prime n per addend j to f(j) + f(n - j) where no smaller
+    addend gives that value: its least tight split adds j, and neither a +1
+    nor a product split is tight."""
+    comp = bytearray(t.complexity)
+    primes = iter(primes_up_to(t.limit)[1000:])
+    for j in addends:
+        for n in primes:
+            v = comp[j] + comp[n - j]
+            if all(comp[a] + comp[n - a] != v for a in range(1, j)):
+                comp[n] = v
+                break
+    return ComplexityTable(limit=t.limit, complexity=bytes(comp))
+
+
 def _cut_blocks(first, last):
     """The passes' blocks, cut at every multiple of 777 too: many blocks,
     ending at arbitrary n."""
@@ -303,6 +318,10 @@ def test_first_operation_scan_matches_per_n(sieve_50k, monkeypatch, cut):
     assert got == _first_operation_reference(broken)
     assert any(r.classification == "sub_other" for r in got)
     assert any(r.minimal_addend is not None for r in got)
+    forced = _forced_sums(sieve_50k)
+    got = an.first_operation_scan(forced)
+    assert got == _first_operation_reference(forced)
+    assert {"sub6", "sub8", "sub9"} <= {r.classification for r in got}
 
 
 # -- chains ------------------------------------------------------------------

@@ -198,6 +198,10 @@ def test_table_validation():
         ComplexityTable(limit=2, complexity=b"\x00\x01")
     with pytest.raises(ValueError):
         ComplexityTable(limit=2, complexity=b"\x00\x02\x02")
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        ComplexityTable(limit=0, complexity=b"\x00")
+    with pytest.raises(ValueError, match="rank array length"):
+        ComplexityTable(limit=2, complexity=b"\x00\x01\x02", rank=b"\x00\x00")
 
 
 def test_table_cannot_be_assigned(sieve_5k):
@@ -225,6 +229,8 @@ def test_table_accessors(sieve_5k):
         sieve_5k.value(0)
     with pytest.raises(ValueError):
         sieve_5k.value(5001)
+    with pytest.raises(ValueError, match="without ranks"):
+        ComplexityTable(limit=5000, complexity=sieve_5k.complexity).rank_of(1)
 
 
 @settings(max_examples=300)

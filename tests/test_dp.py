@@ -181,6 +181,24 @@ def test_missing_output_directory_is_refused_before_building(tmp_path, monkeypat
                 build(100, out=path, **kwargs)
 
 
+def test_limit_is_refused_above_the_stored_ceiling(monkeypatch):
+    # a limit whose upper bound 3*log2(limit) exceeds MAX_STORED = 127 could
+    # hold values whose sums wrap a byte: 2^43 (bound 129) is refused, 2^42
+    # (bound 126) reaches the kernel; memory is waived, and nothing is allocated
+    class Started(Exception):
+        pass
+
+    def started():
+        raise Started
+
+    monkeypatch.setattr(dp.storage, "check_memory", lambda need, what: None)
+    monkeypatch.setattr(dp.kernel, "load", started)
+    with pytest.raises(ValueError, match="one-byte complexity storage"):
+        build(2**43)
+    with pytest.raises(Started):
+        build(2**42)
+
+
 def test_resume_from_smaller_table(tmp_path):
     oneshot = build(30_000)
     path = str(tmp_path / "t.icx")

@@ -84,3 +84,5 @@ def test_oracle_table_matches_single_calls():
         res = oracle_complexity(n)
         assert tab.value(n) == res.complexity
         assert tab.rank_of(n) == res.min_height
+    with pytest.raises(ValueError, match="limit >= 1"):
+        oracle_table(0)

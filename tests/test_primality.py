@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -33,6 +34,8 @@ def test_large_known_primes():
 
 @given(st.integers(2, 10**9))
 def test_factorize_reassembles(n):
+    with pytest.raises(ValueError, match="n >= 2"):
+        factorize(1)
     fs = factorize(n)
     prod = 1
     for p in fs:

@@ -63,6 +63,8 @@ def test_fmt_real_six_significant_digits():
 def test_deterministic_emission():
     for fmt in ("csv", "json", "text"):
         assert emit_rows(HEADERS, ROWS, fmt) == emit_rows(HEADERS, ROWS, fmt)
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit_rows(HEADERS, ROWS, "xml")
 
 
 def test_csv_roundtrip_idempotent():

@@ -146,8 +146,10 @@ def test_chains_match_published(desk_seq):
 def test_configuration_errors(capsys, tmp_path):
     with pytest.raises(ValueError):
         build(0)
-    # a table larger than physical memory is refused before any allocation
+    # a table larger than physical memory, or one whose values could exceed
+    # a byte's half, is refused before any allocation
     out = str(tmp_path / "big.icx")
-    for algo in ("sieve", "dp"):
-        assert main(["build", "--algo", algo, "--limit", str(10**13), "--out", out]) == 2
-        assert "physical memory" in capsys.readouterr().err
+    for limit, error in ((10**12, "physical memory"), (10**13, "one-byte complexity storage")):
+        for algo in ("sieve", "dp"):
+            assert main(["build", "--algo", algo, "--limit", str(limit), "--out", out]) == 2
+            assert error in capsys.readouterr().err

@@ -37,11 +37,27 @@ def test_loaded_table_equals_the_built_one(table, tmp_path):
         assert load(path) == t
 
 
+# the SHA-1 of the file a build writes, unranked and ranked, at the limits
+# a change to the builder must keep byte for byte
+BUILT_FILES = {
+    1: ("886dbda2a540fe2bde3b89f3a16356334fe50f45", "a12e3b6e5ae4713791f13b6db6a1165c275c6408"),
+    2: ("883651b47430c294160fe2e147c16b40a79fd8e1", "263d55c90462ad06cb42ed79079d636b78c88740"),
+    3: ("5c2b8d758815c0355b73b5c3e2b5814d68a0c95d", "7abca6e635229fb399f0513b5e7e1d20e1deb870"),
+    10: ("3d81b17572e280bb6920c90d29ffb65b0cca7e77", "0ddfad95c2b3de2a05aa4673a32282daaab96db4"),
+    1000: ("29f46b8b64dc7cae24b4d5fce53a77d5e8e86b47", "a06eb3121de21baea9603fb96c6497c933a589d4"),
+    2_000_000: ("f50e8db97ad49c35cc28857ae8f8e66479635d16",
+                "40dc5762e9e6e9b4638c881052010079e60d1c22"),
+}
+
+
 @pytest.mark.parametrize("argv, sha1", [
     (["--ranks", "--limit", "300000"], "7797d152d7e1ae5a66f541b433c9e52f7eec0b85"),
     (["--limit", "100000", "--checkpoint-every", "10000"],
      "30ec2e6ebe7cf9e6b2bd350e580dd6c07457758a"),
-], ids=["ranked", "checkpointed"])
+    *((["--limit", str(limit), *ranks], sha1s[bool(ranks)])
+      for limit, sha1s in BUILT_FILES.items() for ranks in ([], ["--ranks"])),
+], ids=["ranked", "checkpointed", *(f"{limit}-{kind}" for limit in BUILT_FILES
+                                     for kind in ("unranked", "ranked"))])
 def test_file_bytes_are_pinned(tmp_path, argv, sha1):
     # the exact bytes of a built file: two builds compared with each other
     # would miss a format drift that both share
