@@ -18,9 +18,10 @@ as it ends the CLI: ``error:`` on stderr and exit 2.
     PYTHONPATH=src python3 scripts/run_desk_scale.py --limit 2000000 --outdir results
 
 At the paper's limit, ``--limit 477028439`` (the least number of rank
-19), a 2-core machine builds the table in about 20 s at 1.4 GB peak RSS,
-and writes the report in about 20 s more; on a reused table the report
-peaks at 0.93 GB, the 954 MB table file and one block's buffers.
+19), a 2-core machine builds the table in 14-18 s at 1.38 GB peak RSS
+(``intcomplexity build --ranks``, two runs), and on the reused table
+writes the report in 12-13 s at 0.93 GB, the 954 MB table file and one
+block's buffers (three runs).
 """
 
 from __future__ import annotations

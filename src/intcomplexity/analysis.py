@@ -139,15 +139,15 @@ def tight_splits(t: ComplexityTable, n: int, op: str) -> list[tuple[int, int]]:
     """The splits (p, q) of n = p op q with f(p) + f(q) = f(n), p ascending.
 
     ``*`` gives the divisor pairs with 2 <= p <= sqrt(n); ``+`` gives the
-    addend pairs with 1 <= p <= min(n // 2, addend_bound(n, f(n))), the
-    only smaller addends a shortest sum can use.
+    addend pairs with 1 <= p <= addend_bound(n, f(n)), the only smaller
+    addends a shortest sum can use.
     """
     c = t.complexity
     cn = c[n]
     if op == "*":
         pairs = ((d, n // d) for d in range(2, math.isqrt(n) + 1) if n % d == 0)
     else:
-        pairs = ((a, n - a) for a in range(1, min(n // 2, addend_bound(n, cn)) + 1))
+        pairs = ((a, n - a) for a in range(1, addend_bound(n, cn) + 1))
     return [(p, q) for p, q in pairs if c[p] + c[q] == cn]
 
 
@@ -240,13 +240,10 @@ class Reconstructor:
 
 
 def reconstruct(t: ComplexityTable, n: int) -> ExprTree:
-    """A shortest canonical expression for n of least height (the rank of n)."""
-    ones = t.value(n)  # refuses an n outside the table
-    tree = Reconstructor(t).tree_min_height(n)
-    if tree.ones != ones:
-        raise ValueError(f"the expression rebuilt for {n} has {tree.ones} ones, not the"
-                         f" table's {ones}: table corrupt")
-    return tree
+    """A shortest canonical expression for n of least height (the rank of n);
+    it holds f(n) ones, as each op node joins the pieces of a tight split."""
+    t.value(n)  # refuses an n outside the table
+    return Reconstructor(t).tree_min_height(n)
 
 
 # -- verification checks ----------------------------------------------

@@ -108,7 +108,8 @@ def addend_bound(n: int, c_upper: int) -> int:
     addend a of a split n = a + b with additive complexities satisfies
     a <= (n - sqrt(n^2 - 4*E(c_upper))) / 2 with E the closed-form
     largest-value sequence.  Returns the floor of that quantity, or
-    n // 2 when the discriminant is negative (small-n regime).
+    n // 2 when the discriminant is negative (small-n regime), so never
+    more than n // 2.
     """
     if n < 2:
         raise ValueError(f"addend_bound requires n >= 2, got {n}")
@@ -243,8 +244,7 @@ class ComplexityTable:
     def rank_of(self, n: int) -> int:
         if self.rank is None:
             raise ValueError("table was built without ranks")
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n = {n} outside table range [1, {self.limit}]")
+        self.value(n)  # refuses an n outside the table
         return self.rank[n]
 
     def __len__(self) -> int:

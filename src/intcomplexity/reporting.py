@@ -41,6 +41,13 @@ def _json_value(v):
     return v
 
 
+def _json(payload) -> str:
+    """The one json writer: reals at 6 significant digits, keys sorted."""
+    import json
+
+    return json.dumps(_json_value(payload), indent=2, sort_keys=True) + "\n"
+
+
 class Report(namedtuple("Report", "name passed checked counterexamples details")):
     """Outcome of one verification: verdict, counterexamples, statistics."""
 
@@ -58,10 +65,7 @@ def emit_rows(headers: list[str], rows: list[list], fmt: str) -> str:
             w.writerow([_cell(v) for v in row])
         return buf.getvalue()
     if fmt == "json":
-        import json
-
-        payload = [dict(zip(headers, (_json_value(v) for v in row))) for row in rows]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json([dict(zip(headers, row)) for row in rows])
     if fmt == "text":
         cells = [[_cell(v) for v in row] for row in rows]
         widths = [len(h) for h in headers]
@@ -77,16 +81,7 @@ def emit_rows(headers: list[str], rows: list[list], fmt: str) -> str:
 
 def emit_report(report: Report, fmt: str) -> str:
     if fmt == "json":
-        import json
-
-        payload = {
-            "name": report.name,
-            "passed": report.passed,
-            "checked": report.checked,
-            "counterexamples": _json_value(report.counterexamples),
-            "details": _json_value(report.details),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json(report._asdict())
     lines = [
         f"check {report.name}: {'PASS' if report.passed else 'FAIL'} "
         f"({report.checked} cases checked)"

@@ -144,6 +144,29 @@ def test_reconstruct_errors(sieve_50k):
         an.reconstruct(broken, 10)
     with pytest.raises(ValueError, match="^10 has no tight split .*table corrupt"):
         an.Reconstructor(broken).min_height(10)
+    with pytest.raises(ValueError, match=r"^10 has no tight \* split .*table corrupt"):
+        an.Reconstructor(broken).tree(10, "*")
+
+
+def test_rebuilt_trees_hold_the_table_value_on_damaged_tables(sieve_5k):
+    # each op node joins the pieces of a tight split, so a tree, when one
+    # is rebuilt at all, holds f(n) ones whatever the table holds
+    rng = random.Random(1)
+    trees = refusals = 0
+    for _ in range(20):
+        comp = bytearray(sieve_5k.complexity[:3001])
+        for n in rng.sample(range(2, 3001), 30):
+            comp[n] = max(0, comp[n] + rng.choice((-2, -1, 1, 2)))
+        t = ComplexityTable(limit=3000, complexity=bytes(comp))
+        for n in rng.sample(range(1, 3001), 40):
+            try:
+                tree = an.Reconstructor(t).tree_min_height(n)
+            except (ValueError, RecursionError):
+                refusals += 1
+                continue
+            assert tree.ones == t.value(n) and tree.value == n, n
+            trees += 1
+    assert trees > 700 and refusals > 0
 
 
 # -- verification checks ---------------------------------------------------
@@ -195,14 +218,15 @@ def test_defect_rank_example_values(sieve_50k):
     assert d >= rhs
 
 
-def test_mersenne_table(sieve_50k):
-    rep = an.mersenne_table(sieve_50k)
-    assert rep.passed
-    n = 1
-    while 2**n - 1 <= sieve_50k.limit:
-        assert sieve_50k.value(2**n - 1) - 2 * n == MERSENNE_EXCESS[n]
-        n += 1
-    assert n == 16  # every n with 2^n - 1 <= 50,000 was read
+def test_mersenne_table(sieve_50k, desk_table):
+    for t, last in ((sieve_50k, 15), (desk_table, 20)):
+        rep = an.mersenne_table(t)
+        assert rep.passed
+        n = 1
+        while 2**n - 1 <= t.limit:
+            assert t.value(2**n - 1) - 2 * n == MERSENNE_EXCESS[n]
+            n += 1
+        assert n == last + 1  # every n with 2^n - 1 <= limit was read
 
 
 def test_mersenne_counterexamples(sieve_50k):
@@ -232,7 +256,7 @@ def test_mersenne_counterexamples(sieve_50k):
 # -- scans -----------------------------------------------------------------
 
 
-def test_collapse_scan(sieve_50k):
+def test_collapse_scan(sieve_50k, desk_table):
     # the primes below the bound: a prime bound is left out
     assert [r.p for r in an.collapse_scan(sieve_50k, 7)] == [2, 3, 5]
     assert [r.p for r in an.collapse_scan(sieve_50k, 8)] == [2, 3, 5, 7]
@@ -244,6 +268,11 @@ def test_collapse_scan(sieve_50k):
     for p, k in COLLAPSE_POWER.items():
         if p <= 150 and p**k <= 50_000:
             assert recs[p].collapses_at == k, p
+    # every known exponent whose power lies inside the desk table
+    recs = {r.p: r for r in an.collapse_scan(desk_table, 1000)}
+    known = {p: k for p, k in COLLAPSE_POWER.items() if p**k <= desk_table.limit}
+    assert {p: recs[p].collapses_at for p in known} == known
+    assert {631, 653, 881, 977} <= known.keys()
 
 
 def test_collapse_consistent_below(sieve_50k):
@@ -254,6 +283,9 @@ def test_collapse_consistent_below(sieve_50k):
 
 
 def test_first_operation_classify(sieve_50k):
+    for n in (1, 50_001):
+        with pytest.raises(ValueError, match=r"outside classification range \[2, 50000\]"):
+            an.classify_first_operation(sieve_50k, n)
     assert an.classify_first_operation(sieve_50k, 6).classification == "product"
     assert an.classify_first_operation(sieve_50k, 7).classification == "sub1"
     rec = an.classify_first_operation(sieve_50k, 7)

@@ -70,6 +70,14 @@ def test_build_loads_only_the_builder(tmp_path):
     assert not {f"intcomplexity.{m}" for m in ("analysis", "enumerator", "expr")} & loaded
     assert "numpy" not in loaded  # the kernel builds; numpy is the tests' reference
     assert not _START_UP & loaded
+    # in this process too: a lazy name resolves to its module's, and dir lists it
+    import intcomplexity
+    from intcomplexity import enumerator
+
+    assert intcomplexity.oracle_table is enumerator.oracle_table
+    assert set(intcomplexity.__all__) <= set(dir(intcomplexity))
+    with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
+        intcomplexity.nonesuch
 
 
 # a fresh interpreter runs the oracle, then prints the modules it loaded

@@ -57,6 +57,8 @@ def test_bounds_order(n):
 def test_lower_bound_domain():
     with pytest.raises(ValueError):
         lower_bound(1)
+    with pytest.raises(ValueError, match="upper_bound requires n >= 2"):
+        upper_bound(1)
 
 
 def test_max_expressible_values():
@@ -102,12 +104,16 @@ def test_log_complexity_values():
     assert abs(log_complexity(2, 2) - 3.1699) < 5e-4
     assert log_complexity(3, 3) == pytest.approx(3.0)
     assert abs(log_complexity(1439, 26) - 3.928) < 5e-4
+    with pytest.raises(ValueError, match="log_complexity requires n >= 2"):
+        log_complexity(1, 1)
 
 
 def test_defect_values():
     assert defect(3, 3) == pytest.approx(0.0)
     assert defect(1, 1) == pytest.approx(1.0)
     assert abs(defect(2, 2) - 0.107) < 1e-3
+    with pytest.raises(ValueError, match="defect requires n >= 1"):
+        defect(0, 1)
 
 
 def naive_addend_bound(n: int, c_upper: int) -> int:
@@ -135,7 +141,7 @@ def test_addend_bound_examples():
 
 @given(st.integers(2, 10**6), st.integers(1, 60))
 def test_addend_bound_matches_naive(n, c):
-    assert addend_bound(n, c) == naive_addend_bound(n, c)
+    assert addend_bound(n, c) == naive_addend_bound(n, c) <= n // 2
 
 
 @given(st.integers(1, 2**40), st.integers(-5, 2**24), st.integers(0, 2**26))
@@ -188,6 +194,7 @@ def test_is_power_of_3():
     powers = {3**b for b in range(0, 20)}
     for n in range(1, 1000):
         assert is_power_of_3(n) == (n in powers)
+    assert not is_power_of_3(0)
 
 
 # -- table invariants ----------------------------------------------------
@@ -229,6 +236,8 @@ def test_table_accessors(sieve_5k):
         sieve_5k.value(0)
     with pytest.raises(ValueError):
         sieve_5k.value(5001)
+    with pytest.raises(ValueError, match=r"^n = 5001 outside table range \[1, 5000\]$"):
+        sieve_5k.rank_of(5001)
     with pytest.raises(ValueError, match="without ranks"):
         ComplexityTable(limit=5000, complexity=sieve_5k.complexity).rank_of(1)
 

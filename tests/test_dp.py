@@ -167,6 +167,8 @@ def test_resume_corrupt_magic(tmp_path, monkeypatch):
 def test_checkpointing_needs_out():
     with pytest.raises(ValueError):
         build(100, checkpoint_every=10)
+    with pytest.raises(ValueError, match="checkpoint_every must be >= 0, got -1"):
+        build(10, checkpoint_every=-1)
 
 
 def test_missing_output_directory_is_refused_before_building(tmp_path, monkeypatch):

@@ -36,6 +36,7 @@ def test_sum_merges_and_sorts():
     assert t.op == "+"
     assert len(t.children) == 3
     assert (t.value, t.ones, t.height) == (3, 3, 1)
+    assert repr(t) == "ExprTree('1+1+1', value=3, ones=3, height=1)"
 
 
 def test_product_merges():
