@@ -47,7 +47,7 @@ from .core import (
     mersenne_upper_bound,
 )
 from . import kernel
-from .primality import is_prime, primes_up_to
+from .primality import divisors, is_prime, primes_up_to
 from .reporting import Report
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -138,14 +138,14 @@ _OTHER = {"+": "*", "*": "+"}
 def tight_splits(t: ComplexityTable, n: int, op: str) -> list[tuple[int, int]]:
     """The splits (p, q) of n = p op q with f(p) + f(q) = f(n), p ascending.
 
-    ``*`` gives the divisor pairs with 2 <= p <= sqrt(n); ``+`` gives the
-    addend pairs with 1 <= p <= addend_bound(n, f(n)), the only smaller
-    addends a shortest sum can use.
+    ``*`` gives the pairs of ``primality.divisors`` with 2 <= p <= sqrt(n);
+    ``+`` gives the addend pairs with 1 <= p <= addend_bound(n, f(n)), the
+    only smaller addends a shortest sum can use.
     """
     c = t.complexity
     cn = c[n]
     if op == "*":
-        pairs = ((d, n // d) for d in range(2, math.isqrt(n) + 1) if n % d == 0)
+        pairs = ((d, n // d) for d in divisors(n) if 2 <= d <= n // d)
     else:
         pairs = ((a, n - a) for a in range(1, addend_bound(n, cn) + 1))
     return [(p, q) for p, q in pairs if c[p] + c[q] == cn]

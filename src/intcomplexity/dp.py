@@ -71,7 +71,9 @@ complexity reaches it are exactly the tight ones.  So RP(n) is the low
 byte where the high byte equals f(n), and the kernel's NONE elsewhere.
 Heights stay below 128 and complexity sums below 255, so each fits its
 byte, and the empty key 0xFFFF reads as 255.  Unranked builds relax
-the complexity bytes alone, at about half the cost.
+the complexity bytes alone, a fifth cheaper than the keys (5.5 against
+7.1 s at 477,028,439, on 2 Xeon cores).  Ranks stay here: a separate
+rank pass, walking every split again, made ranked builds 41-45 % slower.
 
 Sum parts may lie in the block, but each is smaller than n, so one pass
 in increasing n finds RS, GS and GP: every part's GS is final when n is

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, namedtuple
+from functools import cache
 from itertools import combinations_with_replacement, product
 
 from .core import ComplexityTable, max_expressible, upper_bound
 from .expr import ExprTree, ONE, add, mul
-from .primality import factorize
+from .primality import divisors
 
 
 class CapExceededError(ValueError):
@@ -57,7 +58,8 @@ class _Engine:
         # per ones count, sorted values usable as sum parts
         self.sum_pool: dict[int, list[int]] = {1: [1]}
         self.missing: list[int] = list(range(2, limit + 1))
-        self._div_cache: dict[int, list[int]] = {}
+        # product searches ask for the divisors of the same values again
+        self._divisors = cache(divisors)
 
     # -- decomposition generators -------------------------------------
 
@@ -90,17 +92,6 @@ class _Engine:
 
         yield from rec(V, k, 1, 1, ())
 
-    def _divisors(self, W: int) -> list[int]:
-        divs = self._div_cache.get(W)
-        if divs is not None:
-            return divs
-        divs = [1]
-        for p, e in Counter(factorize(W)).items():
-            divs = [d * p**i for d in divs for i in range(e + 1)]
-        divs.sort()
-        self._div_cache[W] = divs
-        return divs
-
     def _prod_decomps(self, V: int, k: int):
         """Multisets of factors >= 2 with a non-product optimal form,
         ones totalling k, product V, at least two factors."""
@@ -112,9 +103,7 @@ class _Engine:
             if parts and W >= 2 and ones.get(W) == r and W in nph and (r, W) >= (j_min, v_min):
                 yield parts + (W,)
             half = W // 2
-            for d in self._divisors(W):
-                if d < 2:
-                    continue
+            for d in self._divisors(W)[1:]:  # factors >= 2
                 if d > half:
                     break
                 j = ones.get(d)

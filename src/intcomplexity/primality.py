@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 # strong-pseudoprime bases that decide primality for all n < 3.3e24,
 # comfortably covering 64-bit inputs
@@ -63,3 +64,11 @@ def factorize(n: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+def divisors(n: int) -> list[int]:
+    """Every divisor of n >= 1, ascending, from ``factorize``."""
+    divs = [1]
+    for p, e in Counter(factorize(n) if n > 1 else ()).items():
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)

@@ -3,11 +3,11 @@ reference that the kernel is compared with byte for byte, beside the
 exhaustive oracle.
 
 It takes the blocks of ``dp.build`` and runs the same passes with one
-numpy call per divisor or addend: the product relaxation (complexity
-bytes, or the 16-bit keys of a ranked build), rounds of the +1 chain and
-the j >= 6 sum scan until a scan lowers nothing, and GS/GP iterated over
-the block's tight sum splits until GS stops changing.  ``dp``'s
-docstring has the definitions and the correctness argument.
+numpy call per divisor or addend: the product relaxation, rounds of the
++1 chain and the j >= 6 sum scan until a scan lowers nothing, then RP
+from its definition over the block's tight product splits, and GS/GP
+iterated over the block's tight sum splits until GS stops changing.
+``dp``'s docstring has the definitions and the correctness argument.
 """
 
 from __future__ import annotations
@@ -57,24 +57,10 @@ def _addend_top(blk: np.ndarray, lo: int, hi: int) -> int:
     return top
 
 
-def _settle(f: np.ndarray, lo: int, hi: int, gp: np.ndarray | None = None) -> np.ndarray | None:
-    """Final complexities of [lo, hi), given the finished prefix f[:lo]; with
-    the prefix's GP column, the block's RP is returned."""
+def _settle(f: np.ndarray, lo: int, hi: int) -> None:
+    """Final complexities of [lo, hi), given the finished prefix f[:lo]."""
     blk = f[lo:hi]
-    if gp is None:
-        product_minima(f, lo, hi, out=blk)
-    else:
-        # little-endian keys: byte 1 is the complexity sum, byte 0 the height
-        key = np.full(hi - lo, 0xFFFF, dtype="<u2")
-        buf = np.empty((hi - lo + 1) // 2, dtype="<u2")
-        for d, tgt, cof in product_slices(lo, hi):
-            part = buf[: cof.stop - cof.start]
-            byte = part.view(np.uint8)
-            np.add(f[cof], f[d], out=byte[1::2])
-            np.maximum(gp[cof], gp[d], out=byte[::2])
-            np.minimum(key[tgt], part, out=key[tgt])
-        key = key.view(np.uint8)
-        blk[:] = key[1::2]
+    product_minima(f, lo, hi, out=blk)
     offset = np.arange(hi - lo + 1, dtype=np.int32)
     while True:
         # +1 chain: running minimum of f[n] - n, carried in from f[lo - 1]
@@ -85,9 +71,18 @@ def _settle(f: np.ndarray, lo: int, hi: int, gp: np.ndarray | None = None) -> np
             np.minimum(blk, f[lo - j : hi - j] + f[j], out=blk)
         if np.array_equal(before, blk):
             break
-    if gp is None:
-        return None
-    return np.where(key[1::2] == blk, key[::2], np.uint8(_NONE))
+
+
+def _rp(f: np.ndarray, gp: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """RP of [lo, hi) from final complexities: the least max(GP(d), GP(e))
+    over the tight splits d*e, and _NONE where n has none."""
+    blk = f[lo:hi]
+    rp = np.full(hi - lo, _NONE, dtype=np.uint8)
+    for d, tgt, cof in product_slices(lo, hi):
+        tight = np.where(f[cof] + f[d] == blk[tgt], np.maximum(gp[cof], gp[d]),
+                         np.uint8(_NONE))
+        np.minimum(rp[tgt], tight, out=rp[tgt])
+    return rp
 
 
 def _rank(
@@ -125,9 +120,9 @@ def build(limit: int, ranks: bool = False) -> tuple[bytes, bytes | None]:
         gp = np.full(limit + 1, _NONE, dtype=np.uint8)
         gs[1] = 1
     for lo, hi in blocks(2, limit):
-        rp = _settle(f, lo, hi, gp)
+        _settle(f, lo, hi)
         if ranks:
-            _rank(f, gs, gp, rp, lo, hi)
+            _rank(f, gs, gp, _rp(f, gp, lo, hi), lo, hi)
     if not ranks:
         return f.tobytes(), None
     rank = np.minimum(gs, gp)

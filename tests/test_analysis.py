@@ -218,8 +218,8 @@ def test_defect_rank_example_values(sieve_50k):
     assert d >= rhs
 
 
-def test_mersenne_table(sieve_50k, desk_table):
-    for t, last in ((sieve_50k, 15), (desk_table, 20)):
+def test_mersenne_table(sieve_50k, desk_table, rank17_table):
+    for t, last in ((sieve_50k, 15), (desk_table, 20), (rank17_table, 24)):
         rep = an.mersenne_table(t)
         assert rep.passed
         n = 1
@@ -256,7 +256,7 @@ def test_mersenne_counterexamples(sieve_50k):
 # -- scans -----------------------------------------------------------------
 
 
-def test_collapse_scan(sieve_50k, desk_table):
+def test_collapse_scan(sieve_50k, desk_table, rank17_table):
     # the primes below the bound: a prime bound is left out
     assert [r.p for r in an.collapse_scan(sieve_50k, 7)] == [2, 3, 5]
     assert [r.p for r in an.collapse_scan(sieve_50k, 8)] == [2, 3, 5, 7]
@@ -268,11 +268,13 @@ def test_collapse_scan(sieve_50k, desk_table):
     for p, k in COLLAPSE_POWER.items():
         if p <= 150 and p**k <= 50_000:
             assert recs[p].collapses_at == k, p
-    # every known exponent whose power lies inside the desk table
-    recs = {r.p: r for r in an.collapse_scan(desk_table, 1000)}
-    known = {p: k for p, k in COLLAPSE_POWER.items() if p**k <= desk_table.limit}
-    assert {p: recs[p].collapses_at for p in known} == known
-    assert {631, 653, 881, 977} <= known.keys()
+    # every known exponent whose power lies inside the desk table, and
+    # inside the table up to the least n of rank 17
+    for t, new in ((desk_table, {631, 653, 881, 977}), (rank17_table, {181, 241})):
+        recs = {r.p: r for r in an.collapse_scan(t, 1000)}
+        known = {p: k for p, k in COLLAPSE_POWER.items() if p**k <= t.limit}
+        assert {p: recs[p].collapses_at for p in known} == known
+        assert new <= known.keys()
 
 
 def test_collapse_consistent_below(sieve_50k):

@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intcomplexity.primality import factorize, is_prime, primes_up_to
+from intcomplexity.primality import divisors, factorize, is_prime, primes_up_to
 
 
 def trial_is_prime(n: int) -> bool:
@@ -43,6 +44,18 @@ def test_factorize_reassembles(n):
         assert is_prime(p)
     assert prod == n
     assert fs == sorted(fs)
+
+
+def test_divisors_are_every_divisor_ascending():
+    for n in range(1, 3001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    # past the table: the trial-division pairs d <= sqrt(n) and n // d, for
+    # a prime, a prime square, a 2^a * 3^b and seeded n up to 10^12
+    rng = random.Random(1203)
+    for n in (999_999_999_989, 999_983**2, 2**20 * 3**12,
+              *(rng.randrange(2, 10**12) for _ in range(10))):
+        low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        assert divisors(n) == sorted({*low, *(n // d for d in low)}), n
 
 
 def test_primes_up_to():

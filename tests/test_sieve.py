@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from golden import CHAIN4_COMPLEXITIES, CHAIN_LONG, LEAST_BY_RANK, LEAST_VALUE
-from intcomplexity.analysis import Reconstructor, chain_scan, tight_splits
+from intcomplexity.analysis import Reconstructor, chain_scan, derive_sequences, tight_splits
 from intcomplexity.cli import main
 from intcomplexity.core import ComplexityTable, blocks, max_expressible
 from intcomplexity.dp import build
@@ -124,9 +125,17 @@ def test_least_values_match_published(desk_seq):
     assert {k: desk_seq.smallest[k] for k in LEAST_VALUE} == LEAST_VALUE
 
 
-def test_least_by_rank_match_published(desk_seq):
+def test_least_by_rank_match_published(desk_seq, rank17_table):
     published = {r: v for r, v in LEAST_BY_RANK.items() if r <= 14}
     assert {r: desk_seq.rank_firsts[r] for r in published} == published
+    # up to the least n of rank 17: ranks 15-17 appear, and rank 18 does not
+    published = {r: v for r, v in LEAST_BY_RANK.items() if r <= 17}
+    assert derive_sequences(rank17_table).rank_firsts == {0: 1, **published}
+    # that table's columns, byte for byte (the complexity column is also
+    # the unranked build's)
+    t = rank17_table
+    assert [hashlib.sha1(col).hexdigest() for col in (t.complexity, t.rank)] == [
+        "dd02b24ab73476b577e23bed7b44da2a4e584630", "e315dd07aa71c28df68040c281b7a8f337f686f5"]
 
 
 def test_chains_match_published(desk_seq):
