@@ -14,7 +14,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define NONE 127 /* rank estimate for "no such form yet"; NONE + 1 fits a uint8 */
+#define NONE 127 /* height for "no such form yet", above every rank */
 
 static inline unsigned min_u(unsigned a, unsigned b) { return a < b ? a : b; }
 static inline unsigned max_u(unsigned a, unsigned b) { return a > b ? a : b; }
@@ -38,11 +38,15 @@ void ic_products(const uint8_t *c, int64_t lo, int64_t hi, uint8_t *out)
     }
 }
 
-/* The ranked product pass: the least key (f(d) + f(e)) << 8 |
- * max(gp[d], gp[e]) over the splits of each n in [lo, hi) into key[n - lo],
- * 0xFFFF where n has none, and the key's high byte into f[n]. */
-void ic_keys(uint8_t *f, const uint8_t *gp, int64_t lo, int64_t hi, uint16_t *key)
+/* The ranked product pass, over the rank column r: the least key (f(d) +
+ * f(e)) << 8 | max(GP(d), GP(e)) over the splits of each n in [lo, hi) into
+ * key[n - lo], 0xFFFF where n has none, and its high byte into f[n].  GP(e)
+ * = (r[e] + 1) & ~1, the least even height from the rank, is a table load. */
+void ic_keys(uint8_t *f, const uint8_t *r, int64_t lo, int64_t hi, uint16_t *key)
 {
+    uint8_t gp[256];
+    for (unsigned x = 0; x < 256; x++)
+        gp[x] = (uint8_t)((x + 1) & ~1u);
     int64_t w = hi - lo;
     for (int64_t i = 0; i < w; i++)
         key[i] = 0xFFFF;
@@ -50,12 +54,11 @@ void ic_keys(uint8_t *f, const uint8_t *gp, int64_t lo, int64_t hi, uint16_t *ke
         int64_t e = (lo + d - 1) / d, last = (hi - 1) / d;
         if (e < d)
             e = d;
-        uint8_t fd = f[d], gd = gp[d];
+        uint8_t fd = f[d], gd = gp[r[d]];
         uint16_t *k = key + (e * d - lo);
         for (; e <= last; e++, k += d) {
-            uint16_t v = (uint16_t)((uint8_t)(fd + f[e]) << 8 | max_u(gd, gp[e]));
-            if (v < *k)
-                *k = v;
+            uint16_t v = (uint16_t)((uint8_t)(fd + f[e]) << 8 | max_u(gd, gp[r[e]]));
+            *k = v < *k ? v : *k; /* branchless: it pays for the table load */
         }
     }
     for (int64_t i = 0; i < w; i++)
@@ -97,12 +100,14 @@ int ic_sums(uint8_t *f, int64_t lo, int64_t hi, int64_t top, uint8_t *snap)
     return memcmp(blk, snap + top, (size_t)w) != 0;
 }
 
-/* GS and GP of [lo, hi) from the final f, the block's product keys and the
- * sum scan's last cap top, in one pass of increasing n: every part of n is
- * smaller than n, so its GS is final when n is reached.  A first pass, one
- * j at a time, sets flag[n - lo] (hi - lo bytes) for the n with a tight sum
- * split of addend j >= 6. */
-void ic_ranks(const uint8_t *f, uint8_t *gs, uint8_t *gp, const uint16_t *key,
+/* The rank r[n] = min(RP, RS) of [lo, hi) from the final f, the block's
+ * product keys (RP is the low byte where the high byte is f[n]) and the sum
+ * scan's last cap top, in one pass of increasing n: every part of n is
+ * smaller, so its rank is final.  GS = r | 1, the least odd height from the
+ * rank, so a sum split's max(GS(j), GS(n-j)) is max(r[j], r[n-j]) | 1, and
+ * r[n-1] | 1 at j = 1.  A first pass, one j at a time, sets flag[n - lo]
+ * (hi - lo bytes) for the n with a tight sum split of addend j >= 6. */
+void ic_ranks(const uint8_t *f, uint8_t *r, const uint16_t *key,
               int64_t lo, int64_t hi, int64_t top, uint8_t *flag)
 {
     int64_t w = hi - lo;
@@ -118,21 +123,13 @@ void ic_ranks(const uint8_t *f, uint8_t *gs, uint8_t *gp, const uint16_t *key,
         int64_t n = lo + i;
         unsigned c = blk[i];
         unsigned rp = (unsigned)(key[i] >> 8) == c ? key[i] & 0xFF : NONE;
-        unsigned rs = (uint8_t)(f[n - 1] + 1) == c ? max_u(gs[n - 1], gs[1]) : NONE;
+        unsigned rs = (uint8_t)(f[n - 1] + 1) == c ? r[n - 1] | 1u : NONE;
         if (flag[i])
             for (int64_t j = 6; j <= top; j++)
                 if ((uint8_t)(f[n - j] + f[j]) == c)
-                    rs = min_u(rs, max_u(gs[n - j], gs[j]));
-        gs[n] = (uint8_t)min_u(rp + 1, rs);
-        gp[n] = (uint8_t)min_u(rs + 1, rp);
+                    rs = min_u(rs, max_u(r[n - j], r[j]) | 1u);
+        r[n] = (uint8_t)min_u(rp, rs);
     }
-}
-
-/* a[i] = min(a[i], b[i]) for 0 <= i < n: the rank column from GS and GP. */
-void ic_minimum(uint8_t *restrict a, const uint8_t *restrict b, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++)
-        a[i] = a[i] < b[i] ? a[i] : b[i];
 }
 
 /* The analyses' passes over a finished table's block [lo, hi), lo >= 1,

@@ -158,85 +158,77 @@ class Reconstructor:
     (see ``tight_splits``), and canonical form merges nested sums into
     sums and nested products into products.  The heights follow the rank
     recursion that ``dp`` defines, with the operation as its argument:
-    ``r(n, op)`` is RP(n) for ``*`` and RS(n) for ``+``, and ``g(n, op)``
-    is GP(n) or GS(n).
+    ``_least(n, op)`` is RP(n) for ``*`` or RS(n) for ``+``, with the first
+    split that makes it, and ``g(n, op)`` is GP(n) or GS(n).
 
     Ties break deterministically: product before sum at the root, n's
     root form of the other operation before a further split inside a
     node, then the smallest divisor or addend.  Each step moves to a part
     of strictly smaller complexity or switches the operation once, so the
     recursion is a few frames per unit of f(n) deep: a recursion limit of
-    51 to 86 serves the last five n up to 477,028,439.  A table whose
+    43 to 69 serves the last five n up to 477,028,439.  A table whose
     values contradict each other raises ValueError.
     """
 
     def __init__(self, t: ComplexityTable):
         self.t = t
-        self._splits: dict[tuple[int, str], list[tuple[int, int]]] = {}
-        self._r: dict[tuple[int, str], float] = {}
+        self._memo: dict[tuple[int, str], tuple[float, tuple[int, int] | None]] = {}
 
-    def splits(self, n: int, op: str) -> list[tuple[int, int]]:
-        got = self._splits.get((n, op))
+    def _least(self, n: int, op: str) -> tuple[float, tuple[int, int] | None]:
+        """The least height of a shortest op-rooted form of n (inf if none)
+        and the first tight op split that makes it (None if none)."""
+        got = self._memo.get((n, op))
         if got is None:
-            got = self._splits[n, op] = tight_splits(self.t, n, op)
-        return got
-
-    def r(self, n: int, op: str) -> float:
-        """Least height of a shortest op-rooted form of n (inf if none)."""
-        got = self._r.get((n, op))
-        if got is None:
-            got = math.inf
-            for p, q in self.splits(n, op):
-                got = min(got, max(self.g(p, op), self.g(q, op)))
-            self._r[n, op] = got
+            got = (math.inf, None)
+            for p, q in tight_splits(self.t, n, op):
+                h = max(self.g(p, op), self.g(q, op))
+                if h < got[0]:
+                    got = (h, (p, q))
+            self._memo[n, op] = got
         return got
 
     def g(self, n: int, op: str) -> float:
         """Least height of a flat op node with n as one of its parts."""
-        return 1 if n == 1 else min(1 + self.r(n, _OTHER[op]), self.r(n, op))
+        return 1 if n == 1 else min(1 + self._least(n, _OTHER[op])[0], self._least(n, op)[0])
 
     def _root(self, n: int) -> str:
         """The root operation of n's least-height shortest forms."""
-        op = "*" if self.r(n, "*") <= self.r(n, "+") else "+"
-        if math.isinf(self.r(n, op)):
+        op = "*" if self._least(n, "*")[0] <= self._least(n, "+")[0] else "+"
+        if math.isinf(self._least(n, op)[0]):
             raise ValueError(f"{n} has no tight split in the table: table corrupt")
         return op
 
     def min_height(self, n: int) -> int:
         """Rank of n computed from the table (no rank column needed)."""
-        return 0 if n == 1 else int(self.r(n, self._root(n)))
-
-    def _split(self, n: int, op: str) -> list[ExprTree]:
-        """Pieces of the first op split of n whose tallest piece makes r(n, op)."""
-        h = self.r(n, op)
-        for p, q in self.splits(n, op):
-            if max(self.g(p, op), self.g(q, op)) == h:
-                return self._pieces(p, op) + self._pieces(q, op)
-        raise ValueError(f"{n} has no tight {op} split in the table: table corrupt")
+        return 0 if n == 1 else int(self._least(n, self._root(n))[0])
 
     def _pieces(self, n: int, op: str) -> list[ExprTree]:
         """n's pieces inside a flat op node: its root form of the other
-        operation, or the pieces of a further op split."""
+        operation, or the pieces of its least op split.  A part of a split
+        of finite height has a finite g, so the split taken exists."""
         if n == 1:
             from .expr import ONE
 
             return [ONE]
-        if self.g(n, op) == 1 + self.r(n, _OTHER[op]):
-            return [self.tree(n, _OTHER[op])]
-        return self._split(n, op)
+        if self.g(n, op) == 1 + self._least(n, _OTHER[op])[0]:
+            return [self._tree(n, _OTHER[op])]
+        p, q = self._least(n, op)[1]
+        return self._pieces(p, op) + self._pieces(q, op)
 
-    def tree(self, n: int, op: str) -> ExprTree:
-        """The least-height shortest op-rooted expression of n."""
+    def _tree(self, n: int, op: str) -> ExprTree:
+        """The least-height shortest op-rooted expression of n, of finite
+        height: an op node over the pieces of its least op split."""
         from .expr import add, mul
 
-        return (add if op == "+" else mul)(self._split(n, op))
+        p, q = self._least(n, op)[1]
+        return (add if op == "+" else mul)(self._pieces(p, op) + self._pieces(q, op))
 
     def tree_min_height(self, n: int) -> ExprTree:
         if n == 1:
             from .expr import ONE
 
             return ONE
-        return self.tree(n, self._root(n))
+        return self._tree(n, self._root(n))
 
 
 def reconstruct(t: ComplexityTable, n: int) -> ExprTree:

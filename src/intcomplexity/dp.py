@@ -61,7 +61,13 @@ splits occur.  For n >= 2:
   product part adds a level, a sum part merges), and GS(1) = 1;
 * GP(n) = min(1 + RS(n), RP(n)), the same for a product factor;
 
-and rank(n) = min(RS(n), RP(n)) = min(GS(n), GP(n)).  Factors lie in the
+and rank(n) = min(RS(n), RP(n)) = min(GS(n), GP(n)).  These heights
+have fixed parities: RS and GS are odd, RP and GP even, by induction
+from GS(1) = 1, since a min or max of terms of one parity keeps it and
+1 + x flips it.  (In a tree: a product never has the One as a factor, so every
+One sits under a sum, and a sum-rooted form has odd height and a
+product-rooted one even.)  So with r = rank(n), GS(n) = r | 1 and GP(n) =
+(r + 1) & ~1, and the rank column alone carries both.  Factors lie in the
 finished prefix, so a ranked build finds RP in the product pass itself.
 Each split d*e is relaxed as the 16-bit key (f(d) + f(e)) << 8 |
 max(GP(d), GP(e)), and n keeps its least key, whose high byte is the
@@ -76,18 +82,17 @@ the complexity bytes alone, a fifth cheaper than the keys (5.5 against
 rank pass, walking every split again, made ranked builds 41-45 % slower.
 
 Sum parts may lie in the block, but each is smaller than n, so one pass
-in increasing n finds RS, GS and GP: every part's GS is final when n is
-reached.  RS runs over the tight sum splits j = 1 (37 % of n below 2M)
+in increasing n finds RS and the rank: every part's rank is final when n
+is reached.  RS runs over the tight sum splits j = 1 (37 % of n below 2M)
 and 6 <= j <= top, the complexity scan's last cap; a pass per j first
 flags the n that have such a split (the least is 22,697,747), and only
 those walk the j.  Addends 2..5 are left out, as in the complexity scan.
 There f(j) = j, so a tight split f(n) = f(n-j) + j makes every step
 from n-j to n a tight j = 1 split (the +1 chain caps each step at one);
 the j = 1 chain then gives RS(n) <= max(GS(n-j), GS(1)) through
-GS <= RS, and GS(1) = 1 <= GS(j).  GS and GP take a byte each per
-entry, and the kernel takes rank = min(GS, GP) in place in the GS column
-once the last block is done, so a ranked build holds 3 B/entry and an
-unranked one 1 B/entry.
+GS <= RS, and GS(1) = 1 <= GS(j).  Both passes read GS and GP from the
+rank column, which the rank pass writes in place, so a ranked build
+holds 2 B/entry and an unranked one 1 B/entry.
 """
 
 from __future__ import annotations
@@ -112,7 +117,7 @@ def _check_limit(limit: int, ranks: bool, resume: str | None) -> None:
         raise ValueError("limit too large for one-byte complexity storage")
     # the build's columns (the returned table's) and what a resume loads
     storage.check_memory(
-        (limit + 1) * (3 if ranks else 1) + (os.path.getsize(resume) if resume else 0),
+        (limit + 1) * (2 if ranks else 1) + (os.path.getsize(resume) if resume else 0),
         f"limit {limit}")
 
 
@@ -176,15 +181,11 @@ def build(
     # pass's flags of the block
     scratch = bytearray(widest)
     if ranks:
-        # zero where no pass reads them (gp below 2, gs at 0), so that the
-        # minimum gives rank 0 at 0 and 1
-        gs = bytearray(limit + 1)
-        gp = bytearray(limit + 1)
-        gs[1] = 1  # the One is a part of any sum at height 1
+        rank = bytearray(limit + 1)  # rank 0 at 0 and 1 (GS(1) = 0 | 1), which no pass writes
         key = bytearray(2 * widest)  # one uint16 product key per block entry
     for lo, hi in blocks(start, limit, checkpoint_every):
         if ranks:
-            lib.ic_keys(f, gp, lo, hi, key)
+            lib.ic_keys(f, rank, lo, hi, key)
         else:
             lib.ic_products(f, lo, hi, memoryview(f)[lo:])
         while True:  # rounds: close the chain, then scan sums until none lowers
@@ -197,14 +198,11 @@ def build(
             if not lib.ic_sums(f, lo, hi, top, scratch):
                 break
         if ranks:
-            lib.ic_ranks(f, gs, gp, key, lo, hi, top, scratch)
+            lib.ic_ranks(f, rank, key, lo, hi, top, scratch)
         if checkpoint_every and (hi - 1) % checkpoint_every == 0 and hi - 1 < limit:
             storage.save_checkpoint(out, memoryview(f)[:hi])
-    rank = None
-    if ranks:
-        lib.ic_minimum(gs, gp, limit + 1)
-        rank = memoryview(gs).toreadonly()
-    table = ComplexityTable(limit=limit, complexity=memoryview(f).toreadonly(), rank=rank)
+    table = ComplexityTable(limit=limit, complexity=memoryview(f).toreadonly(),
+                            rank=memoryview(rank).toreadonly() if ranks else None)
     if out:
         storage.save(table, out)
     return table

@@ -45,3 +45,10 @@ def rank17_table():
     """Ranked table up to the least n of rank 17, 26,489,579 (about 0.7 s
     to build and 95 MB peak RSS)."""
     return build(LEAST_BY_RANK[17], ranks=True)
+
+
+@pytest.fixture(scope="session")
+def table_2_27():
+    """Unranked table up to 2^27 - 1 = 134,217,727 (about 2 s to build and
+    142 MB peak RSS)."""
+    return build(2**27 - 1)

@@ -128,6 +128,17 @@ def test_min_height_trees_are_oracle_trees(sieve_5k):
         tree = rec.tree_min_height(n)
         assert tree in res.shortest, (n, infix(tree), postfix_emit(tree))
         assert tree.height == res.min_height, n
+        # every One sits under a sum: sum-rooted trees have odd height,
+        # product-rooted ones even, which dp's one rank column rests on
+        assert all(s.height % 2 == (s.op == "+") for s in res.shortest), n
+
+
+def test_sum_and_product_heights_follow_from_the_rank(sieve_5k):
+    # GS = rank | 1 and GP = (rank + 1) & ~1, as dp reads them from the rank
+    rec = an.Reconstructor(sieve_5k)
+    for n in range(2, 5001):
+        rank = sieve_5k.rank_of(n)
+        assert (rec.g(n, "+"), rec.g(n, "*")) == (rank | 1, (rank + 1) & ~1), n
 
 
 def test_reconstruct_errors(sieve_50k):
@@ -144,8 +155,6 @@ def test_reconstruct_errors(sieve_50k):
         an.reconstruct(broken, 10)
     with pytest.raises(ValueError, match="^10 has no tight split .*table corrupt"):
         an.Reconstructor(broken).min_height(10)
-    with pytest.raises(ValueError, match=r"^10 has no tight \* split .*table corrupt"):
-        an.Reconstructor(broken).tree(10, "*")
 
 
 def test_rebuilt_trees_hold_the_table_value_on_damaged_tables(sieve_5k):
@@ -218,8 +227,8 @@ def test_defect_rank_example_values(sieve_50k):
     assert d >= rhs
 
 
-def test_mersenne_table(sieve_50k, desk_table, rank17_table):
-    for t, last in ((sieve_50k, 15), (desk_table, 20), (rank17_table, 24)):
+def test_mersenne_table(sieve_50k, desk_table, rank17_table, table_2_27):
+    for t, last in ((sieve_50k, 15), (desk_table, 20), (rank17_table, 24), (table_2_27, 27)):
         rep = an.mersenne_table(t)
         assert rep.passed
         n = 1
@@ -256,7 +265,7 @@ def test_mersenne_counterexamples(sieve_50k):
 # -- scans -----------------------------------------------------------------
 
 
-def test_collapse_scan(sieve_50k, desk_table, rank17_table):
+def test_collapse_scan(sieve_50k, desk_table, rank17_table, table_2_27):
     # the primes below the bound: a prime bound is left out
     assert [r.p for r in an.collapse_scan(sieve_50k, 7)] == [2, 3, 5]
     assert [r.p for r in an.collapse_scan(sieve_50k, 8)] == [2, 3, 5, 7]
@@ -268,9 +277,10 @@ def test_collapse_scan(sieve_50k, desk_table, rank17_table):
     for p, k in COLLAPSE_POWER.items():
         if p <= 150 and p**k <= 50_000:
             assert recs[p].collapses_at == k, p
-    # every known exponent whose power lies inside the desk table, and
-    # inside the table up to the least n of rank 17
-    for t, new in ((desk_table, {631, 653, 881, 977}), (rank17_table, {181, 241})):
+    # every known exponent whose power lies inside the desk table, inside
+    # the table up to the least n of rank 17, and inside the one to 2^27 - 1
+    for t, new in ((desk_table, {631, 653, 881, 977}), (rank17_table, {181, 241}),
+                   (table_2_27, {7, 19, 37, 331, 337, 457})):
         recs = {r.p: r for r in an.collapse_scan(t, 1000)}
         known = {p: k for p, k in COLLAPSE_POWER.items() if p**k <= t.limit}
         assert {p: recs[p].collapses_at for p in known} == known

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -90,6 +91,26 @@ def test_resume_counts_the_loaded_prefix(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="physical memory"):
         build(limit, resume=path)
     assert len(build(limit).complexity) == limit + 1
+
+
+def test_a_ranked_build_holds_two_columns(monkeypatch):
+    # the complexity and rank columns, 2 B/entry: GS and GP are read from
+    # the rank, so the build keeps no other column
+    limit = 2**20
+    t, peak = _traced(lambda: build(limit, ranks=True))
+    assert len(t.rank) == limit + 1
+    assert peak < 2.3 * (limit + 1)
+    # memory for 2.5 columns: a ranked build fits
+    real = os.sysconf
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 5 * (limit + 1) // 2}
+    monkeypatch.setattr(dp.os, "sysconf", lambda name: memory.get(name) or real(name))
+    assert build(limit, ranks=True).rank == t.rank
+
+
+def test_build_to_2_27_is_pinned(table_2_27):
+    # the unranked column up to 2^27 - 1, byte for byte
+    assert hashlib.sha1(table_2_27.complexity).hexdigest() == (
+        "fc7078f7b5dc896075e8a5060ffa908bc18d71f7")
 
 
 def test_known_power_values():

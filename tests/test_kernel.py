@@ -67,8 +67,8 @@ def test_prototypes_are_read_from_the_source():
     code = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
     assert set(found) == set(re.findall(r"\bic_\w+", code))  # every name in the code
     assert {name: len(argtypes) for name, (_, argtypes) in found.items()} == {
-        "ic_products": 4, "ic_keys": 5, "ic_chain": 3, "ic_sums": 5, "ic_ranks": 8,
-        "ic_minimum": 3, "ic_prime_steps": 6, "ic_defects": 8, "ic_survivors": 4}
+        "ic_products": 4, "ic_keys": 5, "ic_chain": 3, "ic_sums": 5, "ic_ranks": 7,
+        "ic_prime_steps": 6, "ic_defects": 8, "ic_survivors": 4}
     p, q, d = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     assert found["ic_defects"] == (q, [p, p, d, d, d, q, q, p])
     assert found["ic_chain"][0] is ctypes.c_int and found["ic_products"][0] is None
@@ -84,38 +84,39 @@ def test_an_unknown_c_type_is_refused():
 
 def test_pointer_arguments_take_any_buffer():
     rng = np.random.default_rng(27)
-    a = rng.integers(0, 256, size=3000, dtype=np.uint8).tobytes()
-    b = rng.integers(0, 256, size=3001, dtype=np.uint8).tobytes()
-    operand = b[1:]
-    want = bytes(np.minimum(np.frombuffer(a, np.uint8), np.frombuffer(operand, np.uint8)))
-    minimum = kernel.load().ic_minimum
-    forms = (operand, bytearray(operand), memoryview(bytearray(b))[1:],
-             np.frombuffer(operand, np.uint8).copy())
+    b = rng.integers(0, 128, size=3001, dtype=np.uint8).tobytes()
+    values = b[1:]
+    lo, hi = 1500, 3000
+    want = bytes(reference_builder.product_minima(
+        np.frombuffer(values, np.uint8), lo, hi, np.empty(hi - lo, dtype=np.uint8)))
+    products = kernel.load().ic_products
+    forms = (values, bytearray(values), memoryview(bytearray(b))[1:],
+             np.frombuffer(values, np.uint8).copy())
     for form in forms:
-        out = bytearray(a)
-        minimum(out, form, len(a))
+        out = bytearray(hi - lo)
+        products(form, lo, hi, out)
         assert out == want, type(form)
     # a writable view writes from its first byte
-    out = bytearray(b"\xff" + a)
-    minimum(memoryview(out)[1:], operand, len(a))
-    assert out == b"\xff" + want
+    out = bytearray(1 + hi - lo)
+    products(values, lo, hi, memoryview(out)[1:])
+    assert out == b"\x00" + want
     # an empty bytearray has no byte to point at, and passes as NULL
-    assert minimum.argtypes[0].from_param(bytearray()).value is None
-    minimum(bytearray(), bytearray(), 0)
+    assert products.argtypes[0].from_param(bytearray()).value is None
+    products(bytearray(), 2, 2, bytearray())
 
 
 def test_read_only_views_and_addresses_are_refused():
     # a read-only view is neither bytes nor writable, and an int is no
     # buffer: the analyses resolve a column to its backing before the kernel
-    minimum = kernel.load().ic_minimum
-    operand = bytes(range(100))
-    held = np.frombuffer(operand, np.uint8).copy()
-    for form in (memoryview(operand), memoryview(operand)[1:],
-                 memoryview(bytearray(operand)).toreadonly(), held.ctypes.data, None):
-        out = bytearray(99)
+    products = kernel.load().ic_products
+    values = bytes(range(100))
+    held = np.frombuffer(values, np.uint8).copy()
+    for form in (memoryview(values), memoryview(values)[1:],
+                 memoryview(bytearray(values)).toreadonly(), held.ctypes.data, None):
+        out = bytearray(49)
         with pytest.raises(ctypes.ArgumentError):
-            minimum(out, form, 99)
-        assert out == bytearray(99)
+            products(form, 50, 99, out)
+        assert out == bytearray(49)
 
 
 def test_table_columns_are_read_in_place(tmp_path):

@@ -2,10 +2,10 @@
 unranked table to 10^9 and its chains.
 
 Opt in with INTCOMPLEXITY_PAPER_SCALE=1: on a 2-core machine the module
-takes about 70 s at about 1.4 GB peak RSS, so tier-1 skips it.
+takes about 80 s at about 1.0 GB peak RSS, so tier-1 skips it.
 
-The first test (about 40 s, 1.4 GB) builds the ranked table through the
-CLI, about 20 s, and runs ``scripts/run_desk_scale.py`` on it, about 20
+The first test (about 30 s, 942 MB) builds the ranked table through the
+CLI, about 15 s, and runs ``scripts/run_desk_scale.py`` on it, about 15
 s more.  From the report's files it checks the least n of ranks 15-19
 (477,028,439 is the least of rank 19), that the first forced-subtraction
 record is the first number whose shortest expressions all start by
@@ -13,7 +13,7 @@ subtracting 6 (the only place below this limit where a sum split with an
 addend of 6 or more decides a complexity), that every verification
 passes, and the doubling chains behind the reliable least values.
 
-The second (about 57 s, 985 MB) builds the unranked table to 10^9
+The second (about 47 s, 985 MB) builds the unranked table to 10^9
 through the CLI and runs ``chains``, ``firstop`` and ``verify all`` on
 it: the least values are reliable through k = 67 at least, the chains of
 length exactly 4 and longer are the published ones up to there (k = 66
@@ -33,7 +33,7 @@ from intcomplexity.cli import main
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("INTCOMPLEXITY_PAPER_SCALE") != "1",
-    reason="paper scale (about 70 s, 1.4 GB); set INTCOMPLEXITY_PAPER_SCALE=1",
+    reason="paper scale (about 80 s, 1.0 GB); set INTCOMPLEXITY_PAPER_SCALE=1",
 )
 
 LIMIT = LEAST_BY_RANK[19]
